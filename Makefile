@@ -54,10 +54,10 @@ bench-go:
 	go test -bench . -benchtime 1x -run '^$$' .
 
 # Solve-cache report: the CI-sized grid plus the cache group — cold vs
-# memo-hit fixpoints and solves, warm-started perturbed re-solves, and
-# negotiation/renegotiation plan replay. Every hot row asserts result
-# equality with its cold partner before timing and records the
-# speedup; ratios are machine-dependent snapshots.
+# cached propagation fixpoints, and negotiation/renegotiation plan
+# replay. Every hot row asserts result equality with its cold partner
+# before timing and records the speedup; ratios are machine-dependent
+# snapshots.
 bench-cache:
 	go run ./cmd/softsoa-bench -short -cache -out BENCH_pr8.json
 

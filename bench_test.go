@@ -242,7 +242,7 @@ func BenchmarkE10SolverScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/bb-par", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				solver.BranchAndBound(p, solver.WithParallel(benchWorkers()))
+				solver.BranchAndBound(p, solver.WithWorkers(benchWorkers()))
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/bb-lookahead", n), func(b *testing.B) {

@@ -2,9 +2,9 @@
 // Providers publish XML QoS documents to POST /v1/providers, clients
 // discover them via GET /v1/providers?query=S, negotiate SLAs via
 // POST /v1/negotiations and request pipeline compositions via
-// POST /v1/compositions; the pre-v1 paths remain as deprecated
-// aliases. With -ops-addr a second, operator-only listener serves
-// pprof, expvar, the Prometheus metrics and the trace dump.
+// POST /v1/compositions. With -ops-addr a second, operator-only
+// listener serves pprof, expvar, the Prometheus metrics and the trace
+// dump.
 //
 // Every negotiation, renegotiation and composition is captured in a
 // flight-recorder journal served at GET /v1/negotiations/{id}/journal;
@@ -52,7 +52,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -75,8 +74,6 @@ func main() {
 		"reliability factor per cross-region pipeline hop")
 	capabilities := flag.String("capabilities", "",
 		"comma-separated capability vocabulary enabling MUST/MAY policies (e.g. http-auth,gzip)")
-	state := flag.String("state", "",
-		"registry persistence file: loaded on boot, saved on shutdown")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second,
 		"per-request handling deadline (0 disables)")
 	breakerThreshold := flag.Int("breaker-threshold", 3,
@@ -91,10 +88,8 @@ func main() {
 		"minimum observations on an agreement before failover can trigger")
 	solverWorkers := flag.Int("solver-workers", 0,
 		"work-stealing workers for composition branch-and-bound (0 = all CPUs, 1 = sequential)")
-	solverParallel := flag.Int("solver-parallel", runtime.GOMAXPROCS(0),
-		"deprecated alias for -solver-workers")
 	solveCache := flag.Int("solve-cache", 4096,
-		"entries in the content-addressed solve cache serving repeat negotiations, renegotiations and compositions (0 disables)")
+		"entries in the content-addressed solve cache serving repeat negotiations and renegotiations (0 disables)")
 	logJSON := flag.Bool("log-json", false, "emit JSON log lines instead of text")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	journalDir := flag.String("journal-dir", "",
@@ -121,14 +116,6 @@ func main() {
 		"fast-window violation rate above which an SLA is at risk (triggers failover when -failover is on)")
 	flag.Parse()
 
-	workers := *solverWorkers
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "solver-parallel" {
-			fmt.Fprintln(os.Stderr, "brokerd: -solver-parallel is deprecated, use -solver-workers")
-			workers = *solverParallel
-		}
-	})
-
 	level, err := parseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "brokerd: %v\n", err)
@@ -151,7 +138,7 @@ func main() {
 			FailureThreshold: *breakerThreshold,
 			OpenTimeout:      *breakerOpen,
 		}),
-		broker.WithSolverWorkers(workers),
+		broker.WithSolverWorkers(*solverWorkers),
 		broker.WithSolveCache(cache.New(*solveCache)),
 		broker.WithLogger(logger),
 		broker.WithJournalRetention(*journalRetention),
@@ -216,17 +203,6 @@ func main() {
 			"slas", stats.SLAs, "providers", stats.Providers,
 			"replayed", stats.Replayed, "truncated", stats.Truncated)
 	}
-	if *state != "" {
-		if err := srv.Registry().LoadFile(*state); err != nil {
-			if os.IsNotExist(errors.Unwrap(err)) {
-				logger.Info("state file not found; starting empty", "path", *state)
-			} else {
-				fatal("load state", "err", err)
-			}
-		} else {
-			logger.Info("restored registrations", "count", srv.Registry().Len(), "path", *state)
-		}
-	}
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
@@ -284,13 +260,6 @@ func main() {
 		"addr", *addr, "link_cost", *linkCost, "link_factor", *linkFactor)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("listen", "err", err)
-	}
-	if *state != "" {
-		if err := srv.Registry().SaveFile(*state); err != nil {
-			logger.Error("save state", "err", err)
-		} else {
-			logger.Info("saved registrations", "count", srv.Registry().Len(), "path", *state)
-		}
 	}
 	if st != nil {
 		if err := srv.Flush(); err != nil {

@@ -29,20 +29,11 @@ func main() {
 		"preprocess with soft arc/node-consistency propagation (equivalence-preserving)")
 	workers := flag.Int("workers", 1,
 		"work-stealing workers for branch and bound (0 = all CPUs, 1 = sequential reference)")
-	parallel := flag.Int("parallel", 1,
-		"deprecated alias for -workers")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: scspsolve [-solver bb|exhaustive|ve|ls] [-seed N] [-workers N] problem.scsp")
 		os.Exit(2)
 	}
-	nWorkers := *workers
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			fmt.Fprintln(os.Stderr, "scspsolve: -parallel is deprecated, use -workers")
-			nWorkers = *parallel
-		}
-	})
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		log.Fatalf("scspsolve: %v", err)
@@ -63,7 +54,7 @@ func main() {
 	var res solver.Result[float64]
 	switch *solverName {
 	case "bb":
-		res = solver.BranchAndBound(target, solver.WithWorkers(nWorkers))
+		res = solver.BranchAndBound(target, solver.WithWorkers(*workers))
 	case "exhaustive":
 		res = solver.Exhaustive(target)
 	case "ve":

@@ -1,9 +1,8 @@
 package main
 
-// The -cache group measures the content-addressed solve cache end to
-// end: the propagation-fixpoint tier, the exact branch-and-bound
-// memo, the warm-started perturbed re-solve, and full negotiation /
-// renegotiation plan replay through the broker. Every hot row solves
+// The -cache group measures the negotiator's content-addressed solve
+// cache end to end: the propagation-fixpoint tier and full
+// negotiation / renegotiation plan replay through the broker. Every hot row solves
 // the identical input as its cold partner — equality is asserted
 // before timing — and records its speedup against the cold row.
 // Absolute ratios are machine-dependent: treat a committed report as
@@ -52,84 +51,6 @@ func cacheBenches(rep *Report, bench func(string, func(*testing.B)) Entry) {
 	})
 	last().Speedup = round3(cold.NsPerOp / last().NsPerOp)
 	last().HitRate = hitRate(fc, h0, m0)
-
-	// Tier 3: the exact search memo. The hot loop re-solves the same
-	// problem through a primed cache; every iteration is a memo hit
-	// that deep-copies the stored result.
-	sp := mustSCSP(workload.SCSPParams{
-		Vars: 10, DomainSize: 3, Density: 0.6, Tightness: 0.8, Seed: 5,
-	})
-	coldRes := solver.BranchAndBound(sp)
-	sc := cache.New(64)
-	solver.BranchAndBound(sp, solver.WithSolveCache(sc)) // prime
-	hotRes := solver.BranchAndBound(sp, solver.WithSolveCache(sc))
-	if coldRes.Blevel != hotRes.Blevel || len(coldRes.Best) != len(hotRes.Best) {
-		log.Fatalf("softsoa-bench: cached solve diverged (blevel %v vs %v)",
-			hotRes.Blevel, coldRes.Blevel)
-	}
-	cold = bench("cache/solve/cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			solver.BranchAndBound(sp)
-		}
-	})
-	stamp(last(), coldRes)
-	h0, m0 = tierTotals(sc)
-	bench("cache/solve/hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			solver.BranchAndBound(sp, solver.WithSolveCache(sc))
-		}
-	})
-	stamp(last(), hotRes)
-	last().Speedup = round3(cold.NsPerOp / last().NsPerOp)
-	last().HitRate = hitRate(sc, h0, m0)
-
-	// Warm-started re-solve of a perturbed instance: the base solve's
-	// frontier seeds the perturbed search's initial bound. Each hot
-	// iteration runs a *fresh* cache holding only the warm slot, so
-	// what is timed is the seeded search itself — never the exact
-	// memo — including the per-solve hashing and seeding overhead.
-	params := workload.SCSPParams{Vars: 12, DomainSize: 3, Density: 0.6, Tightness: 0.8, Seed: 11}
-	base := mustSCSP(params)
-	pert := mustSCSP(params)
-	pert.Add(core.Unary(pert.Space(), "v0", map[string]float64{"0": 4, "1": 0, "2": 2}))
-	slot := cache.ProblemKey(base, "bench-warm")
-	baseRes := solver.BranchAndBound(base)
-	seeds := make([]core.Assignment, 0, len(baseRes.Best))
-	for _, s := range baseRes.Best {
-		seeds = append(seeds, s.Assignment)
-	}
-	coldPert := solver.BranchAndBound(pert)
-	var warmApplied, warmTotal int64
-	warmSolve := func() solver.Result[float64] {
-		c := cache.New(4)
-		c.Put(cache.TierSearch, slot, seeds)
-		r := solver.BranchAndBound(pert, solver.WithSolveCache(c), solver.WithWarmStart(slot))
-		a, _ := c.WarmStats()
-		warmApplied += a
-		warmTotal++
-		return r
-	}
-	warmRes := warmSolve()
-	if warmRes.Blevel != coldPert.Blevel || len(warmRes.Best) != len(coldPert.Best) {
-		log.Fatalf("softsoa-bench: warm re-solve diverged (blevel %v vs %v)",
-			warmRes.Blevel, coldPert.Blevel)
-	}
-	cold = bench("cache/resolve/cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			solver.BranchAndBound(pert)
-		}
-	})
-	stamp(last(), coldPert)
-	bench("cache/resolve/warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			warmSolve()
-		}
-	})
-	stamp(last(), warmRes)
-	last().Speedup = round3(cold.NsPerOp / last().NsPerOp)
-	if warmTotal > 0 {
-		last().HitRate = round3(float64(warmApplied) / float64(warmTotal))
-	}
 
 	// Negotiation through the broker: the cold negotiator has no
 	// cache and runs the full pipeline (instance build, precheck

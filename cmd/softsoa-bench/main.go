@@ -63,8 +63,7 @@ type Entry struct {
 	// cold partner for the solve-cache rows.
 	Speedup float64 `json:"speedup,omitempty"`
 	// HitRate is the fraction of cache lookups the timed loop served
-	// from the cache (solve-cache hot rows only; the warm-start row
-	// reports the fraction of solves that applied their seeds).
+	// from the cache (solve-cache hot rows only).
 	HitRate float64 `json:"hit_rate,omitempty"`
 }
 
@@ -86,7 +85,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"workers for the parallel rows (minimum 2: the sequential rows are the 1-worker reference)")
 	withCache := flag.Bool("cache", false,
-		"add the solve-cache group: cold vs memo-hit solves, warm-started perturbed re-solves, and negotiation/renegotiation plan replay")
+		"add the solve-cache group: cold vs cached propagation fixpoints, and negotiation/renegotiation plan replay")
 	scaling := flag.String("scaling", "",
 		"comma-separated worker counts (e.g. 1,2,4,8): emit only the work-stealing scaling table over the workload grid")
 	flag.Parse()
@@ -169,21 +168,21 @@ func main() {
 			log.Fatalf("softsoa-bench: %v", err)
 		}
 		tag := fmt.Sprintf("workload/v%d-d%d-s%d", params.Vars, params.DomainSize, params.Seed)
-		seqRes := solver.BranchAndBound(p, solver.WithParallel(1))
-		parRes := solver.BranchAndBound(p, solver.WithParallel(workers))
+		seqRes := solver.BranchAndBound(p, solver.WithWorkers(1))
+		parRes := solver.BranchAndBound(p, solver.WithWorkers(workers))
 		if seqRes.Blevel != parRes.Blevel || len(seqRes.Best) != len(parRes.Best) {
 			log.Fatalf("softsoa-bench: %s: parallel result diverged (blevel %v vs %v, %d vs %d solutions)",
 				tag, seqRes.Blevel, parRes.Blevel, len(seqRes.Best), len(parRes.Best))
 		}
 		seq := bench(tag+"/seq", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				solver.BranchAndBound(p, solver.WithParallel(1))
+				solver.BranchAndBound(p, solver.WithWorkers(1))
 			}
 		})
 		stamp(last(), seqRes)
 		bench(fmt.Sprintf("%s/par%d", tag, workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				solver.BranchAndBound(p, solver.WithParallel(workers))
+				solver.BranchAndBound(p, solver.WithWorkers(workers))
 			}
 		})
 		stamp(last(), parRes)

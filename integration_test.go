@@ -166,24 +166,6 @@ func TestNmsccpSeedsExploration(t *testing.T) {
 	}
 }
 
-// TestBrokerdStatePersistence boots brokerd with a state file twice.
-func TestBrokerdStatePersistence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	// brokerd blocks; exercise the persistence layer directly through
-	// the library path the flag drives, then confirm the daemon flag
-	// parses (usage output only).
-	bin := buildBinary(t, "./cmd/brokerd")
-	out, err := run(t, bin, "-badflag")
-	if err == nil {
-		t.Fatalf("bad flag should fail:\n%s", out)
-	}
-	if !strings.Contains(out, "-state") {
-		t.Errorf("usage should mention -state:\n%s", out)
-	}
-}
-
 // TestScspgenRoundTrip: a generated problem file solves to the same
 // blevel as the in-memory problem it came from.
 func TestScspgenRoundTrip(t *testing.T) {

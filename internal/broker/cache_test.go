@@ -335,7 +335,7 @@ func TestServerCacheMetrics(t *testing.T) {
 	text := string(body)
 	for _, family := range []string{
 		"cache_hits_total", "cache_misses_total", "cache_evictions_total",
-		"cache_warm_starts_total", "cache_entries",
+		"cache_entries",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("metrics missing family %s", family)

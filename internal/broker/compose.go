@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"softsoa/internal/cache"
 	"softsoa/internal/core"
 	"softsoa/internal/policy"
 	"softsoa/internal/semiring"
@@ -104,7 +103,6 @@ type Composer struct {
 	vocab      *policy.Vocabulary
 	filter     ProviderFilter
 	solverOpts []solver.Option
-	cache      *cache.Cache
 }
 
 // ComposerOption configures a Composer.
@@ -130,27 +128,6 @@ func WithComposerProviderFilter(f ProviderFilter) ComposerOption {
 // exhaustive baselines ignore them.
 func WithSolverOptions(opts ...solver.Option) ComposerOption {
 	return func(c *Composer) { c.solverOpts = append(c.solverOpts, opts...) }
-}
-
-// WithComposerSolveCache attaches a content-addressed solve cache to
-// every branch-and-bound composition (solver.WithSolveCache): repeat
-// pipelines are served from the exact memo, and each pipeline shape
-// (stages + metric) keeps a warm-start slot (solver.WithWarmStart), so
-// a re-composition after the candidate set drifted — a breaker opened,
-// a provider registered — enters the search with the previous
-// composition as its initial bound. Results are bit-identical to cold
-// solves. A nil cache disables caching.
-func WithComposerSolveCache(c *cache.Cache) ComposerOption {
-	return func(cm *Composer) { cm.cache = c }
-}
-
-// WithComposerSolver threads extra solver options into every
-// branch-and-bound composition.
-//
-// Deprecated: use WithSolverOptions, which follows the package's
-// option naming convention (see doc.go).
-func WithComposerSolver(opts ...solver.Option) ComposerOption {
-	return WithSolverOptions(opts...)
 }
 
 // NewComposer returns a composer with the given link penalty.
@@ -280,16 +257,10 @@ func (c *Composer) Compose(req PipelineRequest, extra ...solver.Option) (*soa.SL
 // bitwise identical to the unpropagated search. Reliability rides on
 // the probabilistic semiring, whose ×/÷ cost shifts round, so it
 // searches unseeded rather than risk an ulp-different agreement level.
-// When a solve cache is attached, the solve additionally reads the
-// exact memo and the pipeline shape's warm-start slot (see
-// WithComposerSolveCache).
 func (c *Composer) solveOpts(req PipelineRequest) []solver.Option {
 	opts := append([]solver.Option(nil), c.solverOpts...)
 	if req.Metric != soa.MetricReliability {
 		opts = append(opts, solver.WithPropagation(0))
-	}
-	if c.cache != nil {
-		opts = append(opts, solver.WithSolveCache(c.cache), solver.WithWarmStart(composeSlotKey(req)))
 	}
 	return opts
 }

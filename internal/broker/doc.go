@@ -25,14 +25,6 @@
 //	GET  /v1/metrics                          Prometheus text-format metrics
 //	GET  /v1/debug/traces                     recent request traces (JSON)
 //
-// The pre-v1 routes (/publish, /discover?service=, /negotiate,
-// /renegotiate, /sla?id=, /observe, /compliance?id=, /compose,
-// /health) remain as deprecated aliases: each rewrites the request to
-// its /v1 equivalent — bodies and query parameters preserved verbatim
-// — re-enters the mux, and increments the
-// broker_http_legacy_requests_total metric so operators can watch
-// residual legacy traffic drain before removing the aliases.
-//
 // Every request is traced: the server adopts the client's
 // X-Softsoa-Trace header (minting an ID when absent), echoes it on
 // the response, and records the pipeline stages — parse, per-provider
@@ -54,8 +46,7 @@
 //   - NewNegotiator: NegotiatorOption (WithVocabulary, WithProviderFilter,
 //     WithNegotiatorSolveCache)
 //   - NewComposer:   ComposerOption   (WithComposerVocabulary,
-//     WithComposerProviderFilter, WithSolverOptions,
-//     WithComposerSolveCache)
+//     WithComposerProviderFilter, WithSolverOptions)
 //   - NewClient:     ClientOption     (WithRetry, WithClientTimeout)
 //
 // Options are applied in order, later options overriding earlier
@@ -63,24 +54,17 @@
 // a whole option set to a subordinate component are named
 // With<Component>Options (WithSolverOptions).
 //
-// Two deprecated spellings are kept as thin aliases and will not grow
-// new behaviour: WithComposerSolver (use WithSolverOptions) and
-// WithSolverParallelism (use WithSolverWorkers, whose worker count
-// follows the solver convention — 0 means runtime.GOMAXPROCS(0), 1
-// means the sequential path).
-//
 // # Solve cache
 //
 // NewServer attaches a bounded content-addressed solve cache
-// (internal/cache) by default and threads it to its negotiator and
-// composer; WithSolveCache overrides the default (nil disables).
-// With the cache on, repeat negotiations with identical content
-// replay memoised plans — emitting byte-identical flight-recorder
-// journals without re-running the transition machine — sessions
-// share renegotiation plans under history-derived keys, the
-// c∅ precheck and composition solves read propagation fixpoints and
-// exact search memos through the cache, and composition re-solves
-// warm-start from the previous frontier. Cached outcomes are bitwise
+// (internal/cache) by default and threads it to its negotiator;
+// WithSolveCache overrides the default (nil disables). With the cache
+// on, repeat negotiations with identical content replay memoised
+// plans — emitting byte-identical flight-recorder journals without
+// re-running the transition machine — sessions share renegotiation
+// plans under history-derived keys, and the c∅ precheck reads
+// propagation fixpoints through the cache. Compositions are solved
+// afresh per request, one SCSP each. Cached outcomes are bitwise
 // those of the cold runs; error outcomes are never cached. Hit rates
 // are exported as the cache_* metric families on /v1/metrics.
 package broker

@@ -22,7 +22,7 @@ func (s *Server) newJournal(ctx context.Context, kind string) *journal.Journal {
 	if t := obs.TraceFrom(ctx); t != nil {
 		traceID = t.ID()
 	}
-	j := journal.New(s.journalCap, journal.Meta{Kind: kind, Trace: traceID})
+	j := journal.New(journal.DefaultCapacity, journal.Meta{Kind: kind, Trace: traceID})
 	j.SetOnDrop(func(n int64) { s.bm.journalDropped.Add(n) })
 	return j
 }

@@ -21,7 +21,6 @@ type brokerMetrics struct {
 	requests *obs.CounterVec   // by route, method, status
 	latency  *obs.HistogramVec // by route
 	inFlight *obs.Gauge
-	legacy   *obs.CounterVec // by legacy route
 
 	negStarted    *obs.Counter
 	negOutcomes   *obs.CounterVec // by outcome: agreed / no_agreement / error
@@ -69,9 +68,6 @@ func newBrokerMetrics(reg *obs.Registry) *brokerMetrics {
 			nil, "route"),
 		inFlight: reg.Gauge("broker_http_in_flight",
 			"HTTP requests currently being handled."),
-		legacy: reg.CounterVec("broker_http_legacy_requests_total",
-			"Requests arriving on deprecated pre-v1 routes, by legacy path.",
-			"route"),
 		negStarted: reg.Counter("broker_negotiations_started_total",
 			"Negotiations started (initial requests and failover replays)."),
 		negOutcomes: reg.CounterVec("broker_negotiations_total",
@@ -208,9 +204,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // registerCacheMetrics exports the solve cache's counters on the
 // registry as live families: cache_{hits,misses,evictions}_total are
-// labelled by tier (tables / fixpoint / search), cache_warm_starts_total
-// by result (applied / fallback), and cache_entries gauges the current
-// population. The readings come straight from the cache's atomics, so
+// labelled by tier (tables / fixpoint / search), and cache_entries
+// gauges the current population. The readings come straight from the cache's atomics, so
 // every scrape sees the instantaneous truth without per-operation
 // instrument plumbing on the hot paths.
 func registerCacheMetrics(reg *obs.Registry, c *cache.Cache) {
@@ -227,12 +222,6 @@ func registerCacheMetrics(reg *obs.Registry, c *cache.Cache) {
 	reg.CounterFuncs("cache_hits_total", "Solve cache hits by tier.", "tier", hits)
 	reg.CounterFuncs("cache_misses_total", "Solve cache misses by tier.", "tier", misses)
 	reg.CounterFuncs("cache_evictions_total", "Solve cache LRU evictions by tier.", "tier", evictions)
-	reg.CounterFuncs("cache_warm_starts_total",
-		"Warm-started solves by result: applied (seeded the search) or fallback (slot unusable, ran cold).",
-		"result", map[string]func() float64{
-			"applied":  func() float64 { applied, _ := c.WarmStats(); return float64(applied) },
-			"fallback": func() float64 { _, fb := c.WarmStats(); return float64(fb) },
-		})
 	reg.GaugeFunc("cache_entries", "Entries currently resident in the solve cache.",
 		func() float64 { return float64(c.Len()) })
 }

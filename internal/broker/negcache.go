@@ -92,20 +92,6 @@ func renegKey(hist cache.Key, newReq soa.Attribute, lower, upper *float64) cache
 	return h.Sum()
 }
 
-// composeSlotKey names the warm-start slot for a pipeline shape:
-// compositions over the same stages and metric perturb each other
-// (providers drift, breakers open and close), so each solve seeds the
-// next one's branch-and-bound bound.
-func composeSlotKey(req PipelineRequest) cache.Key {
-	h := cache.NewHasher("compose-slot")
-	h.Str(string(req.Metric))
-	h.Int(len(req.Stages))
-	for _, s := range req.Stages {
-		h.Str(s)
-	}
-	return h.Sum()
-}
-
 // negInstance is tier 1's cached value: everything negotiateOne
 // compiles before fuel starts burning. All fields are immutable after
 // construction — constraints and spaces are read-only by design, and

@@ -1,14 +1,12 @@
 package broker
 
 import (
-	"bytes"
 	"context"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,9 +161,7 @@ type Server struct {
 	slo        *brokerslo.Reconciler // nil when the SLO subsystem is disabled
 
 	// Flight-recorder configuration (immutable after construction).
-	journalCap       int
 	journalRetention int
-	journalStride    int
 	journalSink      func(*journal.Journal)
 
 	// Durability (immutable after construction; nil st disables it).
@@ -202,9 +198,7 @@ type serverConfig struct {
 	metrics          *obs.Registry
 	traceCap         int
 	logger           *slog.Logger
-	journalCap       int
 	journalRetention int
-	journalStride    int
 	journalSink      func(*journal.Journal)
 	st               store.Store
 	snapshotEvery    int
@@ -217,6 +211,10 @@ type serverConfig struct {
 // defaultSolveCacheSize is the entry capacity of the solve cache a
 // server creates when WithSolveCache is not used.
 const defaultSolveCacheSize = 4096
+
+// solverTelemetryStride samples every n-th solver search event into
+// composition journals.
+const solverTelemetryStride = 64
 
 // WithServerVocabulary equips the broker daemon with a capability
 // vocabulary, enabling MUST/MAY capability policies on the wire.
@@ -257,18 +255,6 @@ func WithSolverWorkers(n int) ServerOption {
 	}
 }
 
-// WithSolverParallelism runs the composer's solves on n workers.
-//
-// Deprecated: use WithSolverWorkers. The only semantic difference is
-// n < 1, which here stays sequential instead of resolving to
-// GOMAXPROCS.
-func WithSolverParallelism(n int) ServerOption {
-	if n < 1 {
-		n = 1
-	}
-	return WithSolverWorkers(n)
-}
-
 // WithMetricsRegistry shares an existing metrics registry with the
 // server instead of the private one it creates by default — so an
 // ops listener, a fault injector, or several embedded brokers can
@@ -290,13 +276,6 @@ func WithLogger(l *slog.Logger) ServerOption {
 	return func(c *serverConfig) { c.logger = l }
 }
 
-// WithJournalCapacity bounds each flight-recorder journal's event ring
-// (default journal.DefaultCapacity); events beyond it are dropped
-// oldest-first and counted by journal_events_dropped_total.
-func WithJournalCapacity(n int) ServerOption {
-	return func(c *serverConfig) { c.journalCap = n }
-}
-
 // WithJournalRetention sets how many journals the server retains for
 // GET /v1/negotiations/{id}/journal (default 256, FIFO eviction).
 func WithJournalRetention(n int) ServerOption {
@@ -310,12 +289,6 @@ func WithJournalSink(fn func(*journal.Journal)) ServerOption {
 	return func(c *serverConfig) { c.journalSink = fn }
 }
 
-// WithSolverTelemetryStride samples every n-th solver search event
-// into composition journals (default 64; higher is cheaper).
-func WithSolverTelemetryStride(n int) ServerOption {
-	return func(c *serverConfig) { c.journalStride = n }
-}
-
 // WithStateStore makes the broker durable: every acknowledged state
 // mutation is appended to st's WAL, and Recover rebuilds the full
 // state — SLAs, sessions, compliance counters, breakers, registry —
@@ -326,17 +299,15 @@ func WithStateStore(st store.Store) ServerOption {
 	return func(c *serverConfig) { c.st = st }
 }
 
-// WithSolveCache installs the content-addressed solve cache shared by
-// the negotiator (negotiation instances, propagation fixpoints,
-// negotiation and renegotiation plans) and the composer (exact solve
-// memos and per-pipeline-shape warm starts). By default the server
-// creates its own cache of defaultSolveCacheSize entries; pass an
-// explicit cache to share one across embedded brokers or to size it,
-// or nil to disable caching entirely. Cached and cold requests are
-// bit-identical — same SLAs, same journals — the cache only changes
-// how fast the answer is computed. Hit/miss/eviction and warm-start
-// counters are exported on the metrics registry (cache_hits_total and
-// friends, labelled by tier).
+// WithSolveCache installs the negotiator's content-addressed solve
+// cache (negotiation instances, propagation fixpoints, negotiation
+// and renegotiation plans). By default the server creates its own
+// cache of defaultSolveCacheSize entries; pass an explicit cache to
+// share one across embedded brokers or to size it, or nil to disable
+// caching entirely. Cached and cold requests are bit-identical — same
+// SLAs, same journals — the cache only changes how fast the answer is
+// computed. Hit/miss/eviction counters are exported on the metrics
+// registry (cache_hits_total and friends, labelled by tier).
 func WithSolveCache(c *cache.Cache) ServerOption {
 	return func(cfg *serverConfig) {
 		cfg.solveCache = c
@@ -363,9 +334,7 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 	cfg := serverConfig{
 		timeout:          30 * time.Second,
 		traceCap:         256,
-		journalCap:       journal.DefaultCapacity,
 		journalRetention: 256,
-		journalStride:    64,
 		snapshotEvery:    256,
 	}
 	for _, o := range opts {
@@ -380,9 +349,6 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 	if cfg.journalRetention < 1 {
 		cfg.journalRetention = 1
 	}
-	if cfg.journalStride < 1 {
-		cfg.journalStride = 1
-	}
 	reg := soa.NewRegistry()
 	s := &Server{
 		reg:              reg,
@@ -391,9 +357,7 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 		metrics:          cfg.metrics,
 		traces:           obs.NewTraceLog(cfg.traceCap),
 		logger:           cfg.logger,
-		journalCap:       cfg.journalCap,
 		journalRetention: cfg.journalRetention,
-		journalStride:    cfg.journalStride,
 		journalSink:      cfg.journalSink,
 		journals:         make(map[string]*journal.Journal),
 		st:               cfg.st,
@@ -436,7 +400,6 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 	}
 	if cfg.solveCache != nil {
 		negOpts = append(negOpts, WithNegotiatorSolveCache(cfg.solveCache))
-		composerOpts = append(composerOpts, WithComposerSolveCache(cfg.solveCache))
 		registerCacheMetrics(cfg.metrics, cfg.solveCache)
 	}
 	s.negotiator = NewNegotiator(reg, negOpts...)
@@ -469,7 +432,6 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 	route("GET /v1/metrics", s.handleMetrics)
 	route("GET /v1/debug/traces", s.handleTraces)
 	route("GET /v1/debug/slo", s.handleDebugSLO)
-	s.registerLegacyAliases(mux)
 
 	var h http.Handler = mux
 	if cfg.timeout > 0 {
@@ -477,95 +439,6 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 	}
 	s.handler = withRecovery(s.withTracing(h))
 	return s
-}
-
-// registerLegacyAliases installs the deprecated pre-v1 routes as thin
-// aliases: each counts the hit under the legacy-requests metric,
-// rewrites the request to its /v1 equivalent — preserving method,
-// query parameters and body verbatim, modulo the documented
-// service→query rename and the id-to-path moves — and re-enters the
-// mux, so the request is served and instrumented by the v1 handler.
-func (s *Server) registerLegacyAliases(mux *http.ServeMux) {
-	reenter := func(w http.ResponseWriter, r *http.Request, legacy, path string) {
-		s.bm.legacy.With(legacy).Inc()
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = path
-		mux.ServeHTTP(w, r2)
-	}
-	mux.HandleFunc("POST /publish", func(w http.ResponseWriter, r *http.Request) {
-		reenter(w, r, "/publish", "/v1/providers")
-	})
-	mux.HandleFunc("POST /negotiate", func(w http.ResponseWriter, r *http.Request) {
-		reenter(w, r, "/negotiate", "/v1/negotiations")
-	})
-	mux.HandleFunc("POST /observe", func(w http.ResponseWriter, r *http.Request) {
-		reenter(w, r, "/observe", "/v1/observations")
-	})
-	mux.HandleFunc("POST /compose", func(w http.ResponseWriter, r *http.Request) {
-		reenter(w, r, "/compose", "/v1/compositions")
-	})
-	mux.HandleFunc("GET /health", func(w http.ResponseWriter, r *http.Request) {
-		reenter(w, r, "/health", "/v1/health")
-	})
-	mux.HandleFunc("GET /discover", func(w http.ResponseWriter, r *http.Request) {
-		s.bm.legacy.With("/discover").Inc()
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = "/v1/providers"
-		q := r2.URL.Query()
-		if q.Has("service") { // v1 renames the parameter to "query"
-			q.Set("query", q.Get("service"))
-			q.Del("service")
-			r2.URL.RawQuery = q.Encode()
-		}
-		mux.ServeHTTP(w, r2)
-	})
-	mux.HandleFunc("GET /sla", func(w http.ResponseWriter, r *http.Request) {
-		s.bm.legacy.With("/sla").Inc()
-		id := r.URL.Query().Get("id")
-		if id == "" {
-			writeError(w, http.StatusNotFound, `unknown SLA ""`)
-			return
-		}
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = "/v1/slas/" + url.PathEscape(id)
-		mux.ServeHTTP(w, r2)
-	})
-	mux.HandleFunc("GET /compliance", func(w http.ResponseWriter, r *http.Request) {
-		s.bm.legacy.With("/compliance").Inc()
-		id := r.URL.Query().Get("id")
-		if id == "" {
-			writeError(w, http.StatusNotFound, `unknown SLA ""`)
-			return
-		}
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = "/v1/slas/" + url.PathEscape(id) + "/compliance"
-		mux.ServeHTTP(w, r2)
-	})
-	mux.HandleFunc("POST /renegotiate", func(w http.ResponseWriter, r *http.Request) {
-		s.bm.legacy.With("/renegotiate").Inc()
-		// The v1 route carries the SLA id in the path; pull it from the
-		// legacy body, then restore the body so the v1 handler re-reads
-		// it verbatim.
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
-			return
-		}
-		var rr RenegotiateRequest
-		if err := xml.Unmarshal(body, &rr); err != nil {
-			writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
-			return
-		}
-		if rr.ID == "" {
-			writeError(w, http.StatusNotFound, `unknown SLA ""`)
-			return
-		}
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = "/v1/negotiations/" + url.PathEscape(rr.ID) + "/renegotiate"
-		r2.Body = io.NopCloser(bytes.NewReader(body))
-		r2.ContentLength = int64(len(body))
-		mux.ServeHTTP(w, r2)
-	})
 }
 
 // Registry exposes the server's registry (for tests and local
@@ -1009,7 +882,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		mode = "greedy"
 		sla, comp, err = s.composer.ComposeGreedy(req)
 	} else {
-		sla, comp, err = s.composer.Compose(req, solver.WithTelemetry(j, s.journalStride))
+		sla, comp, err = s.composer.Compose(req, solver.WithTelemetry(j, solverTelemetryStride))
 	}
 	solve.End()
 	if err != nil {

@@ -133,7 +133,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	ts, client := newTestServer(t)
 
 	// Invalid QoS document.
-	resp, err := http.Post(ts.URL+"/publish", "application/xml", strings.NewReader("<qos/>"))
+	resp, err := http.Post(ts.URL+"/v1/providers", "application/xml", strings.NewReader("<qos/>"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 
 	// Garbage XML.
-	resp, err = http.Post(ts.URL+"/negotiate", "application/xml", strings.NewReader("<negoti"))
+	resp, err = http.Post(ts.URL+"/v1/negotiations", "application/xml", strings.NewReader("<negoti"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +152,14 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Errorf("negotiate garbage: status %d", resp.StatusCode)
 	}
 
-	// Missing service parameter.
-	resp, err = http.Get(ts.URL + "/discover")
+	// Missing query parameter.
+	resp, err = http.Get(ts.URL + "/v1/providers")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("discover without service: status %d", resp.StatusCode)
+		t.Errorf("discover without query: status %d", resp.StatusCode)
 	}
 
 	// Unknown service negotiation → 400 from the negotiator.
@@ -172,13 +172,13 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 
 	// Method not allowed.
-	resp, err = http.Get(ts.URL + "/publish")
+	resp, err = http.Get(ts.URL + "/v1/observations")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /publish: status %d", resp.StatusCode)
+		t.Errorf("GET /v1/observations: status %d", resp.StatusCode)
 	}
 }
 

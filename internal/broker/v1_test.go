@@ -3,9 +3,7 @@ package broker
 import (
 	"context"
 	"encoding/json"
-	"encoding/xml"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -47,75 +45,38 @@ func post(t *testing.T, ts *httptest.Server, path, body string) (int, string) {
 	return resp.StatusCode, string(out)
 }
 
-// TestLegacyDiscoverAliasEquivalence is the alias regression test: a
-// legacy GET /discover?service=S must return byte-for-byte the same
-// body as GET /v1/providers?query=S, with the service parameter
-// renamed — query strings and bodies travel through the alias
-// verbatim.
-func TestLegacyDiscoverAliasEquivalence(t *testing.T) {
-	ts, client := newTestServer(t)
-	for _, d := range []*soa.Document{
-		costDoc("p1", "failmgmt", 2, 0, "eu"),
-		costDoc("p2", "failmgmt", 7, 1, "us"),
-	} {
-		if err := client.Publish(context.Background(), d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacyStatus, legacyBody := get(t, ts, "/discover?service=failmgmt")
-	v1Status, v1Body := get(t, ts, "/v1/providers?query=failmgmt")
-	if legacyStatus != http.StatusOK || v1Status != http.StatusOK {
-		t.Fatalf("status legacy=%d v1=%d, want 200/200", legacyStatus, v1Status)
-	}
-	if legacyBody != v1Body {
-		t.Errorf("alias body mismatch\n--- legacy ---\n%s\n--- v1 ---\n%s", legacyBody, v1Body)
-	}
-	// Legacy traffic is observable: the alias counts the hit.
-	_, metrics := get(t, ts, "/v1/metrics")
-	if !strings.Contains(metrics, `broker_http_legacy_requests_total{route="/discover"} 1`) {
-		t.Errorf("legacy /discover hit not counted:\n%s", metrics)
-	}
-	// The missing-parameter contract survives the rename.
-	if status, _ := get(t, ts, "/discover"); status != http.StatusBadRequest {
-		t.Errorf("legacy /discover without service = %d, want 400", status)
-	}
-}
-
-// TestLegacyRenegotiateAliasPreservesBody exercises the one alias
-// that must read the body (to lift the SLA id into the v1 path) and
-// then restore it verbatim for the handler.
-func TestLegacyRenegotiateAliasPreservesBody(t *testing.T) {
+// TestPreV1RoutesRemoved: the pre-v1 paths are gone, not aliased.
+// Each answers 404 on the method it used to serve, and the metrics
+// catalogue no longer carries a legacy-request counter.
+func TestPreV1RoutesRemoved(t *testing.T) {
 	ts, client := newTestServer(t)
 	if err := client.Publish(context.Background(), costDoc("p1", "failmgmt", 2, 0, "eu")); err != nil {
 		t.Fatal(err)
 	}
-	negotiate := `<negotiate service="failmgmt" client="shop" metric="cost">` +
-		`<requirement metric="cost" base="0" perUnit="2" resource="failures" maxUnits="10"></requirement>` +
-		`<lower>4</lower><upper>1</upper></negotiate>`
-	status, body := post(t, ts, "/negotiate", negotiate)
-	if status != http.StatusOK {
-		t.Fatalf("legacy negotiate = %d: %s", status, body)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/publish"},
+		{http.MethodGet, "/discover?service=failmgmt"},
+		{http.MethodPost, "/negotiate"},
+		{http.MethodPost, "/renegotiate"},
+		{http.MethodGet, "/sla?id=sla-1"},
+		{http.MethodPost, "/observe"},
+		{http.MethodGet, "/compliance?id=sla-1"},
+		{http.MethodPost, "/compose"},
+		{http.MethodGet, "/health"},
+	} {
+		var status int
+		if tc.method == http.MethodGet {
+			status, _ = get(t, ts, tc.path)
+		} else {
+			status, _ = post(t, ts, tc.path, "<x/>")
+		}
+		if status != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", tc.method, tc.path, status)
+		}
 	}
-	var sla soa.SLA
-	if err := xml.Unmarshal([]byte(body), &sla); err != nil {
-		t.Fatalf("decode SLA: %v", err)
-	}
-	reneg := fmt.Sprintf(`<renegotiate id=%q>`+
-		`<requirement metric="cost" base="0" perUnit="2" resource="failures" maxUnits="10"></requirement>`+
-		`<lower>4</lower><upper>1</upper></renegotiate>`, sla.ID)
-	status, body = post(t, ts, "/renegotiate", reneg)
-	if status != http.StatusOK {
-		t.Fatalf("legacy renegotiate = %d: %s", status, body)
-	}
-	if !strings.Contains(body, sla.ID) {
-		t.Errorf("renegotiated SLA does not carry id %s: %s", sla.ID, body)
-	}
-	// Unknown and missing ids keep the structured 404.
-	if status, _ = post(t, ts, "/renegotiate", `<renegotiate id="sla-999"></renegotiate>`); status != http.StatusNotFound {
-		t.Errorf("unknown id = %d, want 404", status)
-	}
-	if status, _ = post(t, ts, "/renegotiate", `<renegotiate></renegotiate>`); status != http.StatusNotFound {
-		t.Errorf("missing id = %d, want 404", status)
+	_, metrics := get(t, ts, "/v1/metrics")
+	if strings.Contains(metrics, "broker_http_legacy") {
+		t.Error("/v1/metrics still exports a broker_http_legacy counter")
 	}
 }
 

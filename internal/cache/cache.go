@@ -17,8 +17,8 @@ const (
 	// TierFixpoint holds propagation fixpoints: the c∅ bound and the
 	// rewritten problem for a given round cap.
 	TierFixpoint
-	// TierSearch holds search outcomes: exact B&B memos, negotiation
-	// and renegotiation plans, and warm-start incumbent slots.
+	// TierSearch holds search outcomes: negotiation and renegotiation
+	// plans.
 	TierSearch
 
 	numTiers
@@ -46,11 +46,9 @@ type TierStats struct {
 
 // Stats is a point-in-time snapshot of every counter.
 type Stats struct {
-	Tables       TierStats
-	Fixpoint     TierStats
-	Search       TierStats
-	WarmApplied  int64
-	WarmFallback int64
+	Tables   TierStats
+	Fixpoint TierStats
+	Search   TierStats
 }
 
 const numShards = 16
@@ -82,11 +80,9 @@ type tierCounters struct {
 // value is not usable; construct with New. A nil *Cache is a valid
 // always-miss cache: every method is a nil-safe no-op.
 type Cache struct {
-	capPerShard  int
-	shards       [numShards]shard
-	stats        [numTiers]tierCounters
-	warmApplied  atomic.Int64
-	warmFallback atomic.Int64
+	capPerShard int
+	shards      [numShards]shard
+	stats       [numTiers]tierCounters
 }
 
 // New returns a cache bounded to roughly capacity entries (split
@@ -119,8 +115,12 @@ func (c *Cache) Get(tier Tier, key Key) (any, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	el, ok := sh.m[tier][key]
+	var v any
 	if ok {
 		sh.lru.MoveToFront(el)
+		// Read the value under the lock: a concurrent Put of the same
+		// key replaces it in place.
+		v = el.Value.(*entry).v
 	}
 	sh.mu.Unlock()
 	if !ok {
@@ -128,7 +128,7 @@ func (c *Cache) Get(tier Tier, key Key) (any, bool) {
 		return nil, false
 	}
 	c.stats[tier].hits.Add(1)
-	return el.Value.(*entry).v, true
+	return v, true
 }
 
 // Put stores v under (tier, key), replacing any previous value, and
@@ -186,20 +186,6 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// NoteWarmStart records the outcome of a warm-start attempt: applied
-// when prior incumbents seeded the search, fallback when the delta
-// invalidated every incumbent and the solve ran cold.
-func (c *Cache) NoteWarmStart(applied bool) {
-	if c == nil {
-		return
-	}
-	if applied {
-		c.warmApplied.Add(1)
-	} else {
-		c.warmFallback.Add(1)
-	}
-}
-
 // TierStats returns one tier's counters.
 func (c *Cache) TierStats(t Tier) TierStats {
 	if c == nil || t < 0 || t >= numTiers {
@@ -212,25 +198,14 @@ func (c *Cache) TierStats(t Tier) TierStats {
 	}
 }
 
-// WarmStats returns the warm-start outcome counters.
-func (c *Cache) WarmStats() (applied, fallback int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.warmApplied.Load(), c.warmFallback.Load()
-}
-
 // Snapshot returns every counter at once.
 func (c *Cache) Snapshot() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	a, f := c.WarmStats()
 	return Stats{
-		Tables:       c.TierStats(TierTables),
-		Fixpoint:     c.TierStats(TierFixpoint),
-		Search:       c.TierStats(TierSearch),
-		WarmApplied:  a,
-		WarmFallback: f,
+		Tables:   c.TierStats(TierTables),
+		Fixpoint: c.TierStats(TierFixpoint),
+		Search:   c.TierStats(TierSearch),
 	}
 }

@@ -44,7 +44,6 @@ func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	if _, ok := c.Get(TierSearch, key("a")); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.NoteWarmStart(true)
 	if c.Len() != 0 {
 		t.Fatal("nil cache non-empty")
 	}
@@ -92,14 +91,9 @@ func TestStatsCount(t *testing.T) {
 	c.Put(TierFixpoint, key("a"), 1)
 	c.Get(TierFixpoint, key("a"))
 	c.Get(TierFixpoint, key("a"))
-	c.NoteWarmStart(true)
-	c.NoteWarmStart(false)
 	st := c.Snapshot()
 	if st.Fixpoint.Hits != 2 || st.Fixpoint.Misses != 1 {
 		t.Fatalf("fixpoint stats %+v, want 2 hits / 1 miss", st.Fixpoint)
-	}
-	if st.WarmApplied != 1 || st.WarmFallback != 1 {
-		t.Fatalf("warm stats %d/%d, want 1/1", st.WarmApplied, st.WarmFallback)
 	}
 	if got := TierFixpoint.String(); got != "fixpoint" {
 		t.Fatalf("tier label %q", got)
@@ -175,7 +169,6 @@ func TestConcurrentAccess(t *testing.T) {
 				} else {
 					c.Put(tier, k, i)
 				}
-				c.NoteWarmStart(i%2 == 0)
 			}
 		}()
 	}
@@ -187,4 +180,31 @@ func TestConcurrentAccess(t *testing.T) {
 	if st.Search.Hits+st.Search.Misses == 0 {
 		t.Fatal("no search-tier traffic recorded")
 	}
+}
+
+// TestConcurrentSameKeyReplace races Gets against Puts that replace
+// one key's value in place, the pattern of two concurrent requests
+// that both miss and both store the same result. Under -race it
+// witnesses that Get reads the value under the shard lock.
+func TestConcurrentSameKeyReplace(t *testing.T) {
+	c := New(16)
+	k := key("shared")
+	c.Put(TierFixpoint, k, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if g%2 == 0 {
+					c.Put(TierFixpoint, k, i)
+				} else if v, ok := c.Get(TierFixpoint, k); !ok || v.(int) < 0 {
+					t.Errorf("lost or corrupt value %v", v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,10 +1,10 @@
 // Package cache is the broker's content-addressed solve cache: a
 // bounded, sharded, concurrency-safe memo store keyed by canonical
 // SHA-256 hashes of (program, store, semiring) content. The semiring
-// semantics make solving safely memoisable — compilation, the c∅
-// propagation fixpoint and branch-and-bound results are pure functions
-// of their inputs — so a cache read can never change a computed
-// result, only skip recomputing it.
+// semantics make negotiation safely memoisable — compilation, the c∅
+// propagation fixpoint and nmsccp outcomes are pure functions of their
+// inputs — so a cache read can never change a computed result, only
+// skip recomputing it.
 //
 // Entries are grouped into three tiers, mirroring the negotiation
 // pipeline's three recomputation sinks:
@@ -14,12 +14,10 @@
 //     per distinct QoS template instead of once per request.
 //   - TierFixpoint holds propagation fixpoints keyed by problem
 //     content and round cap: the c∅ bound plus the rewritten problem,
-//     shared between the negotiator's precheck and the solver's
-//     WithPropagation seeding (solver.PropagateCached).
-//   - TierSearch holds search outcomes: exact branch-and-bound memo
-//     hits, full negotiation/renegotiation plans, and the warm-start
-//     incumbent slots that seed a perturbed re-solve
-//     (solver.WithWarmStart).
+//     shared by every negotiator precheck over the same store
+//     (solver.PropagateCached).
+//   - TierSearch holds search outcomes: full negotiation and
+//     renegotiation plans, replayed instead of re-running nmsccp.
 //
 // Keys are computed with Hasher/ProblemKey over the same canonical
 // renderings the flight recorder serialises (semiring Format,

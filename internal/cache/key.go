@@ -18,7 +18,7 @@ type Key [sha256.Size]byte
 // is length- or width-prefixed, so concatenation ambiguities ("ab"+"c"
 // vs "a"+"bc") cannot alias keys, and every Hasher starts from a
 // domain-separation tag so keys from different call sites (problem
-// hashes, negotiation plans, warm-start slots) live in disjoint
+// hashes, negotiation plans, renegotiation plans) live in disjoint
 // keyspaces.
 type Hasher struct {
 	h   hash.Hash

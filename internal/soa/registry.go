@@ -101,3 +101,13 @@ func (r *Registry) Len() int {
 	}
 	return n
 }
+
+// Snapshot returns every registered document, across all services, in
+// deterministic (service, provider) order.
+func (r *Registry) Snapshot() []*Document {
+	var out []*Document
+	for _, svc := range r.Services() {
+		out = append(out, r.Discover(svc)...)
+	}
+	return out
+}

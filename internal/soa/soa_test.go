@@ -1,7 +1,6 @@
 package soa
 
 import (
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -302,70 +301,38 @@ func TestRegistryCopiesCapabilities(t *testing.T) {
 	}
 }
 
-func TestRegistryPersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/registry.xml"
+func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	d1 := sampleDoc()
 	d1.Capabilities = []string{"gzip"}
 	d2 := sampleDoc()
 	d2.Provider = "other"
 	d2.Service = "print"
-	if err := r.Publish(d1); err != nil {
-		t.Fatal(err)
+	d3 := sampleDoc()
+	d3.Provider = "beta"
+	for _, d := range []*Document{d2, d3, d1} {
+		if err := r.Publish(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := r.Publish(d2); err != nil {
-		t.Fatal(err)
+	snap := r.Snapshot()
+	var got []string
+	for _, d := range snap {
+		got = append(got, d.Service+"/"+d.Provider)
 	}
-	if err := r.SaveFile(path); err != nil {
-		t.Fatal(err)
+	want := []string{"photo-edit/acme", "photo-edit/beta", "print/other"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("snapshot order %v, want %v", got, want)
 	}
-
-	restored := NewRegistry()
-	if err := restored.LoadFile(path); err != nil {
-		t.Fatal(err)
+	if len(snap[0].Capabilities) != 1 || snap[0].Capabilities[0] != "gzip" {
+		t.Errorf("capabilities lost: %+v", snap[0].Capabilities)
 	}
-	if restored.Len() != 2 {
-		t.Fatalf("restored %d registrations, want 2", restored.Len())
+	if len(snap[0].Attributes) != 2 {
+		t.Errorf("attributes lost: %+v", snap[0].Attributes)
 	}
-	got := restored.Discover("photo-edit")
-	if len(got) != 1 || got[0].Provider != "acme" {
-		t.Fatalf("restored docs = %+v", got)
-	}
-	if len(got[0].Capabilities) != 1 || got[0].Capabilities[0] != "gzip" {
-		t.Errorf("capabilities lost: %+v", got[0].Capabilities)
-	}
-	if len(got[0].Attributes) != 2 {
-		t.Errorf("attributes lost: %+v", got[0].Attributes)
-	}
-}
-
-func TestRegistryLoadErrors(t *testing.T) {
-	r := NewRegistry()
-	if err := r.LoadFile("/nonexistent/registry.xml"); err == nil {
-		t.Error("missing file should fail")
-	}
-	dir := t.TempDir()
-	bad := dir + "/bad.xml"
-	if err := os.WriteFile(bad, []byte("<registry><qos/></registry>"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.LoadFile(bad); err == nil {
-		t.Error("invalid document should fail validation on load")
-	}
-	notXML := dir + "/garbage.xml"
-	if err := os.WriteFile(notXML, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.LoadFile(notXML); err == nil {
-		t.Error("garbage should fail to decode")
-	}
-}
-
-func TestRegistrySaveToBadPath(t *testing.T) {
-	r := NewRegistry()
-	if err := r.SaveFile("/nonexistent-dir/registry.xml"); err == nil {
-		t.Error("unwritable path should fail")
+	snap[0].Capabilities[0] = "poison"
+	if r.Discover("photo-edit")[0].Capabilities[0] != "gzip" {
+		t.Error("Snapshot must copy documents")
 	}
 }
 

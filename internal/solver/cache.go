@@ -1,68 +1,19 @@
 package solver
 
 import (
-	"fmt"
 	"strconv"
 
 	"softsoa/internal/cache"
 	"softsoa/internal/core"
 )
 
-// This file wires the content-addressed solve cache into the solver:
-// tier 2 (memoised propagation fixpoints, PropagateCached) and tier 3
-// (exact branch-and-bound memos plus warm-started search,
-// WithSolveCache / WithWarmStart). Correctness rests on two facts:
-// exact memo values are deep-copied both into and out of the cache,
-// so no caller can mutate a cached result; and warm-start seeds are
-// re-evaluated against the *current* problem before they prune, so a
-// seed is always an attained leaf value of the search it bounds —
-// pruning against it is exactly as sound as pruning against an
-// incumbent the search found itself.
-
-// WithSolveCache attaches a content-addressed cache to the run.
-// Branch and bound then serves repeat solves from an exact memo —
-// keyed by the problem's canonical content hash plus the search
-// configuration — and WithPropagation reads its fixpoint through
-// PropagateCached. A memo hit returns a deep copy of the cold run's
-// result: Blevel, Best and the Nodes/Prunes/Tasks counters are
-// bitwise those of the original solve; only Stats.Elapsed is fresh.
-// Runs carrying a telemetry recorder (WithTelemetry) bypass the exact
-// memo — a silent hit would swallow the search events the caller
-// asked for — but still use the fixpoint tier and warm starts. A nil
-// cache leaves behaviour unchanged.
-func WithSolveCache(c *cache.Cache) Option { return func(cf *config) { cf.cache = c } }
-
-// WithWarmStart names a warm-start slot in the cache (requires
-// WithSolveCache). After solving, the run stores its optimal
-// assignments under the key; a later run with the same key —
-// typically the same request shape after a renegotiation perturbed a
-// domain or a table — re-evaluates those assignments against its own
-// problem and seeds branch-and-bound pruning with every value that is
-// still attainable, entering the search with the prior incumbent as
-// the initial bound. Assignments the perturbation invalidated
-// (missing variables, vanished domain values, Zero scores) are
-// dropped; when none survive the solve runs cold (the fallback is
-// counted, see Cache.WarmStats). Because every surviving seed is an
-// attained leaf value of the *current* problem, Blevel and Best are
-// identical to the cold solve — bit-identical for totally ordered
-// semirings, and for partially ordered ones whenever the WithMaxBest
-// cap does not bind (the same boundary WithParallel documents). Only
-// Nodes/Prunes change: the search prunes earlier.
-func WithWarmStart(key cache.Key) Option {
-	return func(cf *config) {
-		cf.warm = true
-		cf.warmKey = key
-	}
-}
-
 // PropagateCached is Propagate behind the cache's fixpoint tier: the
 // (problem content, round cap) key memoises the rewritten problem,
-// the c∅ bound and the run stats, so the negotiator's precheck and
-// WithPropagation seeding share one fixpoint per distinct store
-// instead of recomputing it per request. The returned problem is
-// shared on a hit and must be treated as read-only — every in-tree
-// caller only builds evaluators over it. A nil cache falls through to
-// Propagate.
+// the c∅ bound and the run stats, so the negotiator's precheck shares
+// one fixpoint per distinct store instead of recomputing it per
+// request. The returned problem is shared on a hit and must be
+// treated as read-only — every in-tree caller only builds evaluators
+// over it. A nil cache falls through to Propagate.
 func PropagateCached[T any](c *cache.Cache, p *core.Problem[T], maxRounds int) (*core.Problem[T], T, PropagationStats) {
 	if c == nil {
 		return Propagate(p, maxRounds)
@@ -87,108 +38,4 @@ type fixpoint[T any] struct {
 	prob  *core.Problem[T]
 	czero T
 	stats PropagationStats
-}
-
-// solveKey is the exact-memo key: the problem's canonical content
-// hash plus every configuration knob that can change the result or
-// its deterministic statistics.
-func solveKey[T any](p *core.Problem[T], cfg *config) cache.Key {
-	rounds := 0
-	if cfg.propagate {
-		rounds = cfg.propRounds
-		if rounds <= 0 {
-			rounds = defaultPropRounds
-		}
-	}
-	return cache.ProblemKey(p, "bnb", fmt.Sprintf(
-		"prune=%t lookahead=%t degree=%t maxBest=%d propagate=%t rounds=%d workers=%d",
-		cfg.prune, cfg.lookahead, cfg.degree, cfg.maxBest, cfg.propagate, rounds, cfg.workers))
-}
-
-// cloneResult deep-copies a result so cached and returned values
-// never alias: assignments are fresh maps, values are semiring
-// carriers (immutable by construction).
-func cloneResult[T any](r *Result[T]) Result[T] {
-	out := Result[T]{Blevel: r.Blevel, Stats: r.Stats}
-	if r.Best != nil {
-		out.Best = make([]Solution[T], len(r.Best))
-		for i, s := range r.Best {
-			a := make(core.Assignment, len(s.Assignment))
-			for k, v := range s.Assignment {
-				a[k] = v
-			}
-			out.Best[i] = Solution[T]{Assignment: a, Value: s.Value}
-		}
-	}
-	return out
-}
-
-// warmAssignments extracts the frontier's assignments for a warm-start
-// slot (deep-copied; the stored value is plain []core.Assignment, so
-// callers outside the solver — benches, the composer — can seed slots
-// from any prior Result).
-func warmAssignments[T any](best []Solution[T]) []core.Assignment {
-	out := make([]core.Assignment, 0, len(best))
-	for _, s := range best {
-		a := make(core.Assignment, len(s.Assignment))
-		for k, v := range s.Assignment {
-			a[k] = v
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-// warmSeeds resolves a warm-start slot against the problem about to
-// be searched: each stored assignment is translated to the current
-// space (dropped when a variable or domain value no longer exists)
-// and re-evaluated through the plan's evaluator. The returned values
-// are attained leaf values of this exact search, safe to prune
-// against. prob must be the problem the plan was built from (the
-// propagated one when propagation ran), so seed values come from the
-// same tables the search folds.
-func warmSeeds[T any](c *cache.Cache, key cache.Key, prob *core.Problem[T], pl *plan[T]) []T {
-	v, ok := c.Get(cache.TierSearch, key)
-	if !ok {
-		return nil
-	}
-	assts, ok := v.([]core.Assignment)
-	if !ok || len(assts) == 0 || pl.n == 0 {
-		return nil
-	}
-	s := prob.Space()
-	vars := s.Variables()
-	digits := make([]int, len(vars))
-	var seeds []T
-	for _, a := range assts {
-		usable := true
-		for i, name := range vars {
-			dv, has := a[name]
-			if !has {
-				usable = false
-				break
-			}
-			di := -1
-			for j, d := range s.Domain(name) {
-				if d.Label == dv.Label {
-					di = j
-					break
-				}
-			}
-			if di < 0 {
-				usable = false
-				break
-			}
-			digits[i] = di
-		}
-		if !usable {
-			continue
-		}
-		val := pl.ev.EvalAll(digits)
-		if pl.sr.Eq(val, pl.sr.Zero()) {
-			continue
-		}
-		seeds = append(seeds, val)
-	}
-	return seeds
 }

@@ -29,11 +29,8 @@
 //
 // Parallel execution (BranchAndBound):
 //
-//   - WithWorkers:  canonical worker-count knob — n work-stealing
-//     workers, 0 = runtime.GOMAXPROCS(0), 1 = the sequential path
-//     with zero scheduling machinery
-//   - WithParallel: deprecated alias for WithWorkers (n < 1 clamps to
-//     sequential instead of resolving to GOMAXPROCS)
+//   - WithWorkers: n work-stealing workers, 0 = runtime.GOMAXPROCS(0),
+//     1 = the sequential path with zero scheduling machinery
 //
 // Blevel and the solution frontier are identical under any worker
 // count — bit-identical for totally ordered semirings, and for
@@ -45,6 +42,10 @@
 //   - WithPropagation: seed the search with soft arc/node-consistency
 //     (c∅ root bound + tightened unary tables)
 //
+// PropagateCached runs the same propagation behind a cache's fixpoint
+// tier (see internal/cache); the broker's negotiator uses it to share
+// one fixpoint per distinct constraint store.
+//
 // Local search (LocalSearch):
 //
 //   - WithRestarts: number of random restarts (default 8)
@@ -55,11 +56,6 @@
 //
 //   - WithClock:     inject the time source behind Stats.Elapsed
 //   - WithTelemetry: stream sampled search events into a recorder
-//
-// Caching (BranchAndBound; see internal/cache):
-//
-//   - WithSolveCache: exact memo + propagation fixpoint tiers
-//   - WithWarmStart:  seed pruning from a prior frontier slot
 //
 // Options are applied in order, later options overriding earlier
 // ones; the zero configuration (sequential, pruning on, MaxBest 16)

@@ -355,20 +355,15 @@ func (w *wsWorker[T]) run(depth int, bound T) {
 	w.descend(depth, 0, bound)
 }
 
-// dominated prunes against the warm-start seeds, then against the
-// cached snapshot of the shared incumbent antichain. The snapshot is
-// refreshed every boundRefreshNodes nodes (periodic incumbent
-// broadcast); staleness is sound because every member is an attained
-// leaf value. Allocates nothing.
+// dominated prunes against the cached snapshot of the shared
+// incumbent antichain. The snapshot is refreshed every
+// boundRefreshNodes nodes (periodic incumbent broadcast); staleness is
+// sound because every member is an attained leaf value. Allocates
+// nothing.
 //
 //softsoa:hotpath
 func (w *wsWorker[T]) dominated(v T) bool {
 	pl := w.sched.pl
-	for _, s := range pl.seeds {
-		if semiring.Gt(pl.sr, s, v) {
-			return true
-		}
-	}
 	if w.nodes-w.snapAge >= boundRefreshNodes {
 		w.refreshSnap()
 	}

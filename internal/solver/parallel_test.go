@@ -13,7 +13,7 @@ import (
 
 // assertSameResult fails unless the two results carry the same blevel
 // and the same frontier, element for element, in the same order.
-// Nodes/Prunes are deliberately not compared: under WithParallel they
+// Nodes/Prunes are deliberately not compared: under WithWorkers they
 // depend on bound visibility timing (identical modulo scheduling).
 func assertSameResult[T any](t *testing.T, sr semiring.Semiring[T], label string, want, got Result[T]) {
 	t.Helper()
@@ -51,9 +51,9 @@ func seqParCase[T any](t *testing.T, sr semiring.Semiring[T], name string, p *co
 	}
 	for oi, opts := range optSets {
 		opts = append(append([]Option(nil), opts...), extra...)
-		seq := BranchAndBound(p, append([]Option{WithParallel(1)}, opts...)...)
+		seq := BranchAndBound(p, append([]Option{WithWorkers(1)}, opts...)...)
 		for _, workers := range []int{2, 3, 8} {
-			par := BranchAndBound(p, append([]Option{WithParallel(workers)}, opts...)...)
+			par := BranchAndBound(p, append([]Option{WithWorkers(workers)}, opts...)...)
 			assertSameResult(t, sr, fmt.Sprintf("%s/opts%d/workers=%d", name, oi, workers), seq, par)
 		}
 	}
@@ -65,7 +65,7 @@ func seqParCase[T any](t *testing.T, sr semiring.Semiring[T], name string, p *co
 // worker count. The partially ordered instances (set, product) use a
 // MaxBest far above any reachable frontier width so the cap never
 // binds — the boundary of the byte-identical guarantee documented on
-// WithParallel.
+// WithWorkers.
 func TestParallelEquivalenceAllSemirings(t *testing.T) {
 	base := workload.SCSPParams{Vars: 6, DomainSize: 3, Density: 0.5, Tightness: 0.7}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -143,13 +143,13 @@ func TestParallelEquivalenceEdgeShapes(t *testing.T) {
 	s0 := core.NewSpace[float64](sr)
 	p0 := core.NewProblem(s0)
 	p0.Add(core.Constant(s0, 3))
-	assertSameResult(t, sr, "no-vars", BranchAndBound(p0), BranchAndBound(p0, WithParallel(4)))
+	assertSameResult(t, sr, "no-vars", BranchAndBound(p0), BranchAndBound(p0, WithWorkers(4)))
 
 	s1 := core.NewSpace[float64](sr)
 	x := s1.AddVariable("x", core.IntDomain(0, 4))
 	p1 := core.NewProblem(s1, x)
 	p1.Add(core.Unary(s1, x, map[string]float64{"0": 2, "1": 1, "2": 7, "3": 1, "4": 9}))
-	assertSameResult(t, sr, "one-var", BranchAndBound(p1), BranchAndBound(p1, WithParallel(16)))
+	assertSameResult(t, sr, "one-var", BranchAndBound(p1), BranchAndBound(p1, WithWorkers(16)))
 }
 
 // TestParallelRaceStress hammers the shared incumbent bound: many
@@ -166,7 +166,7 @@ func TestParallelRaceStress(t *testing.T) {
 	}
 	seq := BranchAndBound(p)
 	for i := 0; i < 8; i++ {
-		par := BranchAndBound(p, WithParallel(8))
+		par := BranchAndBound(p, WithWorkers(8))
 		assertSameResult[float64](t, semiring.Weighted{}, fmt.Sprintf("iter=%d", i), seq, par)
 	}
 }
@@ -186,7 +186,7 @@ func TestWithPropagationMatchesPlain(t *testing.T) {
 		for _, opts := range [][]Option{
 			{WithPropagation(0)},
 			{WithPropagation(0), WithLookahead()},
-			{WithPropagation(0), WithParallel(4)},
+			{WithPropagation(0), WithWorkers(4)},
 		} {
 			prop := BranchAndBound(wp, opts...)
 			assertSameResult[float64](t, semiring.Weighted{}, fmt.Sprintf("weighted/seed=%d", seed), plain, prop)
@@ -292,10 +292,10 @@ func TestEliminateAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestWithWorkersSequentialPath: a worker count of 1 — through either
-// spelling — must take the plain sequential path: no scheduling
-// machinery, so Nodes and Prunes are exactly the deterministic
-// sequential counts and every scheduler counter stays zero.
+// TestWithWorkersSequentialPath: a worker count of 1 must take the
+// plain sequential path: no scheduling machinery, so Nodes and Prunes
+// are exactly the deterministic sequential counts and every scheduler
+// counter stays zero.
 func TestWithWorkersSequentialPath(t *testing.T) {
 	p, err := workload.RandomWeightedSCSP(workload.SCSPParams{
 		Vars: 8, DomainSize: 3, Density: 0.5, Tightness: 0.8, Seed: 11,
@@ -304,24 +304,15 @@ func TestWithWorkersSequentialPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := BranchAndBound(p)
-	for _, tc := range []struct {
-		name string
-		opt  Option
-	}{
-		{"WithWorkers(1)", WithWorkers(1)},
-		{"WithParallel(1)", WithParallel(1)},
-		{"WithParallel(0)", WithParallel(0)},
-	} {
-		got := BranchAndBound(p, tc.opt)
-		assertSameResult[float64](t, semiring.Weighted{}, tc.name, plain, got)
-		if got.Stats.Nodes != plain.Stats.Nodes || got.Stats.Prunes != plain.Stats.Prunes {
-			t.Errorf("%s: nodes/prunes %d/%d, want sequential %d/%d",
-				tc.name, got.Stats.Nodes, got.Stats.Prunes, plain.Stats.Nodes, plain.Stats.Prunes)
-		}
-		if got.Stats.Workers != 1 || got.Stats.Tasks != 0 || got.Stats.Steals != 0 || got.Stats.Splits != 0 {
-			t.Errorf("%s: scheduler counters leaked: workers=%d tasks=%d steals=%d splits=%d",
-				tc.name, got.Stats.Workers, got.Stats.Tasks, got.Stats.Steals, got.Stats.Splits)
-		}
+	got := BranchAndBound(p, WithWorkers(1))
+	assertSameResult[float64](t, semiring.Weighted{}, "WithWorkers(1)", plain, got)
+	if got.Stats.Nodes != plain.Stats.Nodes || got.Stats.Prunes != plain.Stats.Prunes {
+		t.Errorf("nodes/prunes %d/%d, want sequential %d/%d",
+			got.Stats.Nodes, got.Stats.Prunes, plain.Stats.Nodes, plain.Stats.Prunes)
+	}
+	if got.Stats.Workers != 1 || got.Stats.Tasks != 0 || got.Stats.Steals != 0 || got.Stats.Splits != 0 {
+		t.Errorf("scheduler counters leaked: workers=%d tasks=%d steals=%d splits=%d",
+			got.Stats.Workers, got.Stats.Tasks, got.Stats.Steals, got.Stats.Splits)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"softsoa/internal/cache"
 	"softsoa/internal/clock"
 	"softsoa/internal/core"
 	"softsoa/internal/obs/journal"
@@ -82,9 +81,6 @@ type config struct {
 	clock      clock.Clock
 	tel        journal.SearchRecorder
 	telStride  int64
-	cache      *cache.Cache
-	warm       bool
-	warmKey    cache.Key
 }
 
 func defaultConfig() config {
@@ -133,21 +129,6 @@ func WithWorkers(n int) Option {
 	return func(c *config) {
 		if n < 0 {
 			n = 0
-		}
-		c.workers = n
-	}
-}
-
-// WithParallel fans branch and bound out across n workers (n ≤ 1 is
-// the sequential reference path).
-//
-// Deprecated: use WithWorkers, the canonical worker-count knob (note
-// the one semantic difference: WithParallel clamps n < 1 to the
-// sequential path, while WithWorkers(0) resolves to GOMAXPROCS).
-func WithParallel(n int) Option {
-	return func(c *config) {
-		if n < 1 {
-			n = 1
 		}
 		c.workers = n
 	}
@@ -246,58 +227,20 @@ func BranchAndBound[T any](p *core.Problem[T], opts ...Option) Result[T] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// Resolve the worker count before the memo key is built, so a
-	// WithWorkers(0) solve hits the same memo slot as an explicit
-	// WithWorkers(GOMAXPROCS) one.
 	if cfg.workers <= 0 {
 		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 	start := cfg.clock.Now()
-	// Tier 3, exact memo: a repeat solve of byte-identical content
-	// under the same configuration returns a deep copy of the cold
-	// run's result. Telemetry runs bypass the memo — a silent hit
-	// would swallow the search events the recorder was attached for.
-	var memoKey cache.Key
-	memo := cfg.cache != nil && cfg.tel == nil
-	if memo {
-		memoKey = solveKey(p, &cfg)
-		if v, ok := cfg.cache.Get(cache.TierSearch, memoKey); ok {
-			if hit, ok := v.(*Result[T]); ok {
-				res := cloneResult(hit)
-				if cfg.warm {
-					// Keep the warm slot fresh so the next perturbed
-					// solve seeds from this result's incumbents.
-					cfg.cache.Put(cache.TierSearch, cfg.warmKey, warmAssignments(hit.Best))
-				}
-				res.Stats.Elapsed = cfg.clock.Since(start)
-				return res
-			}
-		}
-	}
 	prob := p
 	if cfg.propagate {
-		prob, _, _ = PropagateCached(cfg.cache, p, cfg.propRounds)
+		prob, _, _ = Propagate(p, cfg.propRounds)
 	}
 	pl := newPlan(prob, &cfg)
-	if cfg.warm && cfg.cache != nil {
-		// Tier 3, warm start: prior incumbents re-evaluated against
-		// this problem become initial pruning bounds (see
-		// WithWarmStart for the soundness argument).
-		pl.seeds = warmSeeds(cfg.cache, cfg.warmKey, prob, pl)
-		cfg.cache.NoteWarmStart(len(pl.seeds) > 0)
-	}
 	var res Result[T]
 	if cfg.workers > 1 && pl.n > 0 {
 		res = solveParallel(pl, cfg.workers)
 	} else {
 		res = solveSequential(pl)
-	}
-	if memo {
-		stored := cloneResult(&res)
-		cfg.cache.Put(cache.TierSearch, memoKey, &stored)
-	}
-	if cfg.warm && cfg.cache != nil {
-		cfg.cache.Put(cache.TierSearch, cfg.warmKey, warmAssignments(res.Best))
 	}
 	res.Stats.Elapsed = cfg.clock.Since(start)
 	return res
@@ -331,11 +274,6 @@ type plan[T any] struct {
 	// inner loop allocation-free.
 	tel       journal.SearchRecorder
 	telStride int64
-	// seeds are warm-start incumbent values: prior solutions
-	// re-evaluated against this problem (so each is an attained leaf
-	// value of this search), pruned against exactly like frontier
-	// incumbents. Empty outside warm-started runs.
-	seeds []T
 }
 
 func newPlan[T any](p *core.Problem[T], cfg *config) *plan[T] {
@@ -457,7 +395,7 @@ func (s *bbSearch[T]) run(depth int, bound T) {
 		if pl.lookahead {
 			ub = pl.sr.Times(bound, pl.optimisticRest[depth])
 		}
-		if s.dominated(ub) {
+		if s.fr.dominates(ub) {
 			s.prunes++
 			if pl.tel != nil && s.prunes%pl.telStride == 0 {
 				reason := "bound"
@@ -494,20 +432,6 @@ func (s *bbSearch[T]) run(depth int, bound T) {
 		}
 		s.run(depth+1, b)
 	}
-}
-
-// dominated prunes against the warm-start seeds first — attained leaf
-// values of this very problem, so strictly-dominated subtrees are cut
-// before the search has found any incumbent of its own — then against
-// the local frontier. The seed scan allocates nothing, keeping run's
-// hotpath guarantee.
-func (s *bbSearch[T]) dominated(v T) bool {
-	for _, w := range s.pl.seeds {
-		if semiring.Gt(s.pl.sr, w, v) {
-			return true
-		}
-	}
-	return s.fr.dominates(v)
 }
 
 func solveSequential[T any](pl *plan[T]) Result[T] {

@@ -111,7 +111,7 @@ fi
 curl -fsS "http://$ADDR/v1/negotiations/$SLA2_ID/journal?format=jsonl" | "$REPLAY" -
 
 curl -fsS "http://$ADDR/v1/metrics" >"$METRICS"
-for family in cache_hits_total cache_misses_total cache_entries cache_warm_starts_total; do
+for family in cache_hits_total cache_misses_total cache_entries; do
     if ! grep -q "^$family" "$METRICS"; then
         echo "obs-smoke: family $family missing from /v1/metrics" >&2
         exit 1
