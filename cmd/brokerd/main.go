@@ -20,15 +20,18 @@
 //	        [-log-json] [-log-level info] [-journal-dir journals/] \
 //	        [-state-dir state/] [-snapshot-every 256] \
 //	        [-max-inflight 64] [-admission-queue 128] [-drain-deadline 10s] \
-//	        [-slo-sweep-every 10s] [-slo-fast-window 1m] [-slo-slow-window 1h] \
-//	        [-slo-burn-threshold 0.5]
+//	        [-failover] [-failover-rate 0.5] [-failover-min-obs 3] \
+//	        [-slo-sweep-every 10s] [-slo-fast-window 1m] [-slo-slow-window 1h]
 //
-// An always-on SLO reconciler sweeps every live SLA on
-// -slo-sweep-every, publishing per-SLA compliance, blevel-drift and
-// multi-window burn-rate series on /v1/metrics and a read-only JSON
-// snapshot at GET /v1/debug/slo; an SLA whose fast-window violation
-// rate crosses -slo-burn-threshold is flagged at risk and, when
-// -failover is on, rebound to a healthy provider immediately.
+// Failover has one model: an SLA is at risk when at least
+// -failover-min-obs observations in the last -slo-fast-window show a
+// violation rate above -failover-rate. With -failover, the violating
+// observation that makes this true rebinds the SLA to a healthy
+// provider. An always-on SLO reconciler sweeps every live SLA on
+// -slo-sweep-every (also the width of a window slot), aging the
+// windows and publishing per-SLA compliance, blevel-drift, burn-rate
+// and at-risk series on /v1/metrics and a read-only JSON snapshot at
+// GET /v1/debug/slo.
 //
 // With -state-dir every state mutation is appended to a checksummed
 // write-ahead log and periodically compacted into an atomic snapshot;
@@ -81,11 +84,11 @@ func main() {
 	breakerOpen := flag.Duration("breaker-open", 30*time.Second,
 		"how long an open breaker rejects a provider before a half-open probe")
 	failover := flag.Bool("failover", false,
-		"renegotiate an SLA against healthy providers when its violation rate crosses -failover-rate")
+		"renegotiate an SLA against healthy providers when its violation rate over -slo-fast-window crosses -failover-rate")
 	failoverRate := flag.Float64("failover-rate", 0.5,
-		"violation rate (violations/observations) that triggers failover")
+		"violation rate (violations/observations) over -slo-fast-window above which an SLA is at risk and fails over")
 	failoverMinObs := flag.Int64("failover-min-obs", 3,
-		"minimum observations on an agreement before failover can trigger")
+		"minimum observations over -slo-fast-window before an SLA can be at risk and fail over")
 	solverWorkers := flag.Int("solver-workers", 0,
 		"work-stealing workers for composition branch-and-bound (0 = all CPUs, 1 = sequential)")
 	solveCache := flag.Int("solve-cache", 4096,
@@ -107,14 +110,17 @@ func main() {
 	drainDeadline := flag.Duration("drain-deadline", 10*time.Second,
 		"how long a SIGTERM/SIGINT drain waits for in-flight requests before exiting")
 	sloSweepEvery := flag.Duration("slo-sweep-every", 10*time.Second,
-		"SLO reconciliation sweep period (0 disables the SLO subsystem)")
+		"SLO reconciliation sweep period and failover-window slot width (must be > 0)")
 	sloFastWindow := flag.Duration("slo-fast-window", time.Minute,
-		"fast burn-rate window; crossing -slo-burn-threshold here flags an SLA at risk")
+		"failover window: -failover-rate and -failover-min-obs are judged over it")
 	sloSlowWindow := flag.Duration("slo-slow-window", time.Hour,
 		"slow burn-rate window providing the long-term violation-rate backdrop")
-	sloBurnThreshold := flag.Float64("slo-burn-threshold", 0.5,
-		"fast-window violation rate above which an SLA is at risk (triggers failover when -failover is on)")
 	flag.Parse()
+
+	if *sloSweepEvery <= 0 {
+		fmt.Fprintf(os.Stderr, "brokerd: -slo-sweep-every must be > 0, got %v\n", *sloSweepEvery)
+		os.Exit(2)
+	}
 
 	level, err := parseLevel(*logLevel)
 	if err != nil {
@@ -143,20 +149,17 @@ func main() {
 		broker.WithLogger(logger),
 		broker.WithJournalRetention(*journalRetention),
 	}
-	opts = append(opts, broker.WithSLO(broker.SLOConfig{
-		Disabled:      *sloSweepEvery <= 0,
-		SweepEvery:    *sloSweepEvery,
-		FastWindow:    *sloFastWindow,
-		SlowWindow:    *sloSlowWindow,
-		BurnThreshold: *sloBurnThreshold,
-	}))
-	if *failover {
-		opts = append(opts, broker.WithFailover(broker.FailoverPolicy{
-			Enabled:         true,
+	opts = append(opts,
+		broker.WithSLO(broker.SLOConfig{
+			SweepEvery: *sloSweepEvery,
+			FastWindow: *sloFastWindow,
+			SlowWindow: *sloSlowWindow,
+		}),
+		broker.WithFailover(broker.FailoverPolicy{
+			Enabled:         *failover,
 			ViolationRate:   *failoverRate,
 			MinObservations: *failoverMinObs,
 		}))
-	}
 	if *capabilities != "" {
 		names := strings.Split(*capabilities, ",")
 		for i := range names {
@@ -213,14 +216,14 @@ func main() {
 	defer stop()
 
 	// The SLO reconciler sweeps every live SLA on its own goroutine,
-	// publishing compliance and burn-rate series and failing at-risk
-	// agreements over; it exits with the signal context at drain time.
-	if rec := srv.SLO(); rec != nil {
-		go rec.Run(ctx)
-		logger.Info("SLO reconciler running",
-			"sweep_every", *sloSweepEvery, "fast_window", *sloFastWindow,
-			"slow_window", *sloSlowWindow, "burn_threshold", *sloBurnThreshold)
-	}
+	// aging the failover windows and publishing compliance, burn-rate
+	// and at-risk series; it exits with the signal context at drain
+	// time.
+	go srv.SLO().Run(ctx)
+	logger.Info("SLO reconciler running",
+		"sweep_every", *sloSweepEvery, "fast_window", *sloFastWindow,
+		"slow_window", *sloSlowWindow, "failover_rate", *failoverRate,
+		"failover_min_obs", *failoverMinObs)
 
 	var opsSrv *http.Server
 	if *opsAddr != "" {

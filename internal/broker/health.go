@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"softsoa/internal/broker/slo"
 )
 
 // BreakerState is the lifecycle state of a provider's circuit
@@ -45,11 +47,11 @@ type BreakerConfig struct {
 	OpenTimeout time.Duration
 	// Clock overrides the time source (tests). Nil means time.Now.
 	Clock func() time.Time
-	// OnTransition, when non-nil, is called on every genuine breaker
-	// state change (not on same-state resets). It runs synchronously
-	// under the board's lock, so it must be cheap — atomics, metric
-	// updates — and must not call back into the board.
-	OnTransition func(provider string, from, to BreakerState)
+	// onTransition, when non-nil, is called on every genuine breaker
+	// state change (not on same-state resets); the server feeds its
+	// breaker metrics from it. It runs synchronously under the board's
+	// lock, so it must be cheap and must not call back into the board.
+	onTransition func(provider string, from, to BreakerState)
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -185,13 +187,13 @@ func (h *HealthBoard) open(provider string, b *breaker) {
 }
 
 // transition moves the breaker to the target state, firing the
-// OnTransition hook only when the state actually changes. Callers
+// onTransition hook only when the state actually changes. Callers
 // hold h.mu, so the hook runs under the board lock.
 func (h *HealthBoard) transition(provider string, b *breaker, to BreakerState) {
 	from := b.state
 	b.state = to
-	if from != to && h.cfg.OnTransition != nil {
-		h.cfg.OnTransition(provider, from, to)
+	if from != to && h.cfg.onTransition != nil {
+		h.cfg.onTransition(provider, from, to)
 	}
 }
 
@@ -255,18 +257,22 @@ func (h *HealthBoard) Snapshot() []ProviderHealth {
 	return out
 }
 
-// FailoverPolicy controls violation-driven failover: when a live
-// SLA's monitor crosses ViolationRate after at least MinObservations
-// measurements, the broker trips the bound provider's breaker and
-// renegotiates the agreement against the remaining healthy providers.
+// FailoverPolicy is the threshold of the one failover predicate: a
+// live SLA is at risk when its binding's fast window (SLOConfig
+// FastWindow) holds at least MinObservations observations, with a
+// violation rate above ViolationRate. With Enabled, the violating
+// observation that makes the predicate true trips the bound
+// provider's breaker and renegotiates the agreement against the
+// remaining healthy providers; without it the predicate still drives
+// the slo_at_risk gauge.
 type FailoverPolicy struct {
 	// Enabled turns failover on.
 	Enabled bool
-	// ViolationRate is the rate (violations/observations) above which
-	// the broker fails over. Zero means the default of 0.5.
+	// ViolationRate is the fast-window rate (violations/observations)
+	// above which the SLA is at risk. Zero means the default of 0.5.
 	ViolationRate float64
-	// MinObservations is the minimum number of observations since the
-	// current agreement before failover can trigger. Zero means the
+	// MinObservations is the minimum number of fast-window
+	// observations before the SLA can be at risk. Zero means the
 	// default of 3.
 	MinObservations int64
 }
@@ -279,4 +285,9 @@ func (p FailoverPolicy) withDefaults() FailoverPolicy {
 		p.MinObservations = 3
 	}
 	return p
+}
+
+// trips is the failover predicate over a binding's fast window.
+func (p FailoverPolicy) trips(fast slo.Window) bool {
+	return fast.Observations >= p.MinObservations && fast.Rate() > p.ViolationRate
 }

@@ -3,7 +3,9 @@ package broker
 import (
 	"fmt"
 	"sync"
+	"time"
 
+	"softsoa/internal/broker/slo"
 	"softsoa/internal/semiring"
 	"softsoa/internal/soa"
 )
@@ -12,8 +14,13 @@ import (
 // the paper's requirement that "the composition of services can be
 // monitored and checked". An observation violates the SLA when it is
 // strictly worse than the agreed level in the metric's semiring
-// order: a higher cost, or a lower reliability/preference. Monitors
-// are safe for concurrent use.
+// order: a higher cost, or a lower reliability/preference.
+//
+// Besides its lifetime counters, a monitor the broker feeds keeps the
+// failover window: the counts of its recent observations in
+// time-slotted buckets, one per slot of the window spec. The window
+// belongs to the binding, so a failover — which installs a fresh
+// monitor — restarts it. Monitors are safe for concurrent use.
 type Monitor struct {
 	mu sync.Mutex
 	// metric and sr are immutable after construction.
@@ -24,6 +31,24 @@ type Monitor struct {
 	violations   int64   // guarded by mu
 	worst        float64 // guarded by mu
 	hasWorst     bool    // guarded by mu
+	// slots is the failover window, oldest first. guarded by mu
+	slots []slot
+}
+
+// slot counts the observations whose clock reading fell in
+// [start, start+width) of one window slot.
+type slot struct {
+	start     time.Time
+	obs, viol int64
+}
+
+// windowSpec sizes the failover window a monitor keeps.
+type windowSpec struct {
+	// slot is the bucket width (the SLO sweep period).
+	slot time.Duration
+	// fast is the failover window; slow bounds retention and is the
+	// slow burn window.
+	fast, slow time.Duration
 }
 
 // NewMonitor returns a monitor for the SLA's agreed level.
@@ -65,10 +90,59 @@ func (m *Monitor) restoreCounts(observations, violations int64, worst float64, h
 }
 
 // Observe records one measured service level and reports whether it
-// violates the agreement.
+// violates the agreement. It does not touch the failover window.
 func (m *Monitor) Observe(level float64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.observeLocked(level)
+}
+
+// observeAt is Observe on the broker's live path: the observation is
+// also counted in the window slot that holds now.
+func (m *Monitor) observeAt(now time.Time, w windowSpec, level float64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	violated := m.observeLocked(level)
+	start := now.Truncate(w.slot)
+	if n := len(m.slots); n == 0 || start.After(m.slots[n-1].start) {
+		m.slots = append(m.slots, slot{start: start})
+	}
+	last := &m.slots[len(m.slots)-1]
+	last.obs++
+	if violated {
+		last.viol++
+	}
+	return violated
+}
+
+// windows ages the failover window to now, dropping the slots that
+// lie wholly before the slow window, and returns the counts over the
+// fast and slow windows. A slot counts toward a window while any part
+// of it lies inside, so a binding younger than the window is judged
+// on every observation it has had.
+func (m *Monitor) windows(now time.Time, w windowSpec) (fast, slow slo.Window) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	drop := 0
+	for drop < len(m.slots) && !m.slots[drop].start.Add(w.slot).After(now.Add(-w.slow)) {
+		drop++
+	}
+	if drop > 0 {
+		m.slots = append(m.slots[:0], m.slots[drop:]...)
+	}
+	for _, sl := range m.slots {
+		slow.Observations += sl.obs
+		slow.Violations += sl.viol
+		if sl.start.Add(w.slot).After(now.Add(-w.fast)) {
+			fast.Observations += sl.obs
+			fast.Violations += sl.viol
+		}
+	}
+	return fast, slow
+}
+
+// observeLocked bumps the lifetime counters. Callers hold m.mu.
+func (m *Monitor) observeLocked(level float64) bool {
 	m.observations++
 	if !m.hasWorst || semiring.Lt(m.sr, level, m.worst) {
 		m.worst = level
@@ -130,13 +204,6 @@ func (m *Monitor) Report() MonitorReport {
 		r.WorstObserved = m.worst
 	}
 	return r
-}
-
-// Healthy reports whether the violation rate is at most maxRate.
-// With no observations the agreement is vacuously healthy.
-func (m *Monitor) Healthy(maxRate float64) bool {
-	r := m.Report()
-	return r.ViolationRate <= maxRate
 }
 
 // String renders a one-line summary.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"softsoa/internal/soa"
 )
@@ -29,8 +30,8 @@ func TestMonitorCostViolations(t *testing.T) {
 	if r.WorstObserved != 7 {
 		t.Errorf("worst = %v, want 7", r.WorstObserved)
 	}
-	if !mon.Healthy(0.5) || mon.Healthy(0.2) {
-		t.Errorf("health thresholds wrong: rate %v", r.ViolationRate)
+	if r.ViolationRate != 1.0/3 {
+		t.Errorf("violation rate = %v, want 1/3", r.ViolationRate)
 	}
 	if !strings.Contains(mon.String(), "viol=1") {
 		t.Errorf("String = %q", mon.String())
@@ -82,8 +83,49 @@ func TestMonitorEmptyIsHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mon.Healthy(0) {
-		t.Error("no observations: vacuously healthy")
+	if r := mon.Report(); r.ViolationRate != 0 {
+		t.Errorf("no observations: violation rate = %v, want 0", r.ViolationRate)
+	}
+}
+
+// TestMonitorWindowSlots pins the failover window: observations land
+// in sweep-period slots, a slot counts while any part of it lies in a
+// window, slots wholly before the slow window are dropped, and the
+// plain Observe used by replay leaves the window alone.
+func TestMonitorWindowSlots(t *testing.T) {
+	mon, err := NewMonitor(&soa.SLA{Metric: soa.MetricCost, AgreedLevel: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := windowSpec{slot: 10 * time.Second, fast: time.Minute, slow: 5 * time.Minute}
+	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	mon.observeAt(t0, w, 7)                    // slot [0s,10s): violation
+	mon.observeAt(t0.Add(9*time.Second), w, 4) // same slot: compliant
+	mon.observeAt(t0.Add(65*time.Second), w, 7)
+	mon.Observe(7) // replayed: lifetime only
+
+	fast, slow := mon.windows(t0.Add(69*time.Second), w)
+	if fast.Observations != 3 || fast.Violations != 2 {
+		t.Errorf("fast window at 69s = %+v, want 3 obs / 2 viol (first slot still overlaps)", fast)
+	}
+	if slow.Observations != 3 {
+		t.Errorf("slow window at 69s = %+v, want 3 obs", slow)
+	}
+	fast, slow = mon.windows(t0.Add(70*time.Second), w)
+	if fast.Observations != 1 || fast.Violations != 1 {
+		t.Errorf("fast window at 70s = %+v, want 1 obs / 1 viol (first slot aged out)", fast)
+	}
+	if slow.Observations != 3 || slow.Violations != 2 {
+		t.Errorf("slow window at 70s = %+v, want 3 obs / 2 viol", slow)
+	}
+	if _, slow = mon.windows(t0.Add(6*time.Minute), w); slow.Observations != 1 || len(mon.slots) != 1 {
+		t.Errorf("slow window at 6m = %+v with %d slots, want 1 obs in 1 slot", slow, len(mon.slots))
+	}
+	if _, slow = mon.windows(t0.Add(time.Hour), w); slow.Observations != 0 || len(mon.slots) != 0 {
+		t.Errorf("slow window at 1h = %+v with %d slots, want empty", slow, len(mon.slots))
+	}
+	if r := mon.Report(); r.Observations != 4 || r.Violations != 3 {
+		t.Errorf("lifetime report = %+v, want 4 obs / 3 viol", r)
 	}
 }
 

@@ -36,6 +36,9 @@ const (
 	recRenegotiate = "renegotiate"
 	recObserve     = "observe"
 	recCompose     = "compose"
+	// recSLOFailover is only replayed: earlier brokers journalled
+	// sweep-triggered failovers under it, with the fields of an
+	// observeRecord minus the observation.
 	recSLOFailover = "slofailover"
 )
 
@@ -82,21 +85,11 @@ type renegotiateRecord struct {
 
 // observeRecord journals one observation; when it triggered a
 // failover, the new binding is recorded the same way a negotiation is.
+// Every failover is journalled this way.
 type observeRecord struct {
 	ID         string           `json:"id"`
 	Level      float64          `json:"level"`
 	Violated   bool             `json:"violated"`
-	FailedOver bool             `json:"failedOver,omitempty"`
-	Provider   string           `json:"provider,omitempty"`
-	Offer      *soa.Attribute   `json:"offer,omitempty"`
-	Feedback   []feedbackRecord `json:"feedback,omitempty"`
-}
-
-// sloFailoverRecord journals a failover the SLO reconciler initiated
-// (burn-rate at-risk signal, not a per-observation threshold). A stuck
-// attempt still carries the breaker feedback it produced.
-type sloFailoverRecord struct {
-	ID         string           `json:"id"`
 	FailedOver bool             `json:"failedOver,omitempty"`
 	Provider   string           `json:"provider,omitempty"`
 	Offer      *soa.Attribute   `json:"offer,omitempty"`
@@ -138,12 +131,15 @@ type breakerSnap struct {
 	Failures int    `json:"failures"`
 }
 
-// entrySnap persists one live SLA entry.
+// entrySnap persists one live SLA entry. PriorObservations and
+// PriorViolations are the counts of the bindings failovers replaced.
 type entrySnap struct {
-	ID      string      `json:"id"`
-	Req     Request     `json:"req"`
-	History []histOp    `json:"history"`
-	Monitor monitorSnap `json:"monitor"`
+	ID                string      `json:"id"`
+	Req               Request     `json:"req"`
+	History           []histOp    `json:"history"`
+	Monitor           monitorSnap `json:"monitor"`
+	PriorObservations int64       `json:"priorObservations,omitempty"`
+	PriorViolations   int64       `json:"priorViolations,omitempty"`
 }
 
 // snapshotDoc is the broker's full compacted state.
@@ -276,9 +272,11 @@ func (s *Server) snapshotState() snapshotDoc {
 		e := entries[id]
 		e.mu.Lock()
 		snap := entrySnap{
-			ID:      id,
-			Req:     e.req,
-			History: append([]histOp(nil), e.history...),
+			ID:                id,
+			Req:               e.req,
+			History:           append([]histOp(nil), e.history...),
+			PriorObservations: e.priorObs,
+			PriorViolations:   e.priorViol,
 		}
 		snap.Monitor.Observations, snap.Monitor.Violations, snap.Monitor.Worst, snap.Monitor.HasWorst = e.mon.counts()
 		e.mu.Unlock()
@@ -363,7 +361,8 @@ func (s *Server) restoreSnapshot(ctx context.Context, state []byte) error {
 // engine: negotiateOne for the initial binding and each failover,
 // Session.Renegotiate for each accepted relaxation — the identical
 // floating-point operations in the identical order, so the recovered
-// store is bit-exact. Monitor counters are then restored directly.
+// store is bit-exact. Monitor counters are then restored directly;
+// failover windows are not persisted and start empty.
 // The returned journal holds the replayed runs, so the SLA's journal
 // route keeps working after a restart (with only the winning runs:
 // losing providers of the original negotiation are not replayed).
@@ -415,6 +414,7 @@ func (s *Server) rebuildEntry(ctx context.Context, snap entrySnap) (*slaEntry, *
 	}
 	e.mon.restoreCounts(snap.Monitor.Observations, snap.Monitor.Violations,
 		snap.Monitor.Worst, snap.Monitor.HasWorst)
+	e.priorObs, e.priorViol = snap.PriorObservations, snap.PriorViolations
 	return e, j, nil
 }
 
@@ -512,79 +512,28 @@ func (s *Server) replayRecord(ctx context.Context, r store.Record) error {
 		e.mu.Unlock()
 		s.storeJournal(rr.ID, j)
 		return nil
-	case recObserve:
+	case recObserve, recSLOFailover:
 		var or observeRecord
 		if err := json.Unmarshal(r.Data, &or); err != nil {
 			return err
 		}
 		e, ok := s.entry(or.ID)
 		if !ok {
-			return fmt.Errorf("observation of unknown SLA %q", or.ID)
+			return fmt.Errorf("%s of unknown SLA %q", r.Type, or.ID)
 		}
-		e.mu.Lock()
-		violated := e.mon.Observe(or.Level)
-		e.mu.Unlock()
-		if violated != or.Violated {
-			return fmt.Errorf("observation of %q was violated=%t live but %t on replay", or.ID, or.Violated, violated)
+		if r.Type == recObserve {
+			e.mu.Lock()
+			violated := e.mon.Observe(or.Level)
+			e.mu.Unlock()
+			if violated != or.Violated {
+				return fmt.Errorf("observation of %q was violated=%t live but %t on replay", or.ID, or.Violated, violated)
+			}
 		}
 		s.applyFeedback(or.Feedback)
-		if or.FailedOver {
-			if or.Offer == nil {
-				return fmt.Errorf("failover record for %q without offer", or.ID)
-			}
-			// Rebuilt outside e.mu — replaySession takes s.mu and the
-			// lock order is s.mu → e.mu, never the reverse.
-			sess, err := s.replaySession(ctx, e.req, or.Provider, *or.Offer)
-			if err != nil {
-				return err
-			}
-			mon, err := NewMonitor(sess.SLA())
-			if err != nil {
-				return err
-			}
-			e.mu.Lock()
-			e.versionBase += e.session.Version()
-			e.session, e.mon = sess, mon
-			e.history = append(e.history, histOp{
-				Kind: "failover", Provider: or.Provider, Offer: or.Offer,
-			})
-			e.mu.Unlock()
-		}
-		return nil
-	case recSLOFailover:
-		var fr sloFailoverRecord
-		if err := json.Unmarshal(r.Data, &fr); err != nil {
-			return err
-		}
-		e, ok := s.entry(fr.ID)
-		if !ok {
-			return fmt.Errorf("SLO failover of unknown SLA %q", fr.ID)
-		}
-		s.applyFeedback(fr.Feedback)
-		if !fr.FailedOver {
+		if !or.FailedOver {
 			return nil
 		}
-		if fr.Offer == nil {
-			return fmt.Errorf("SLO failover record for %q without offer", fr.ID)
-		}
-		// Rebuilt outside e.mu — replaySession takes s.mu and the lock
-		// order is s.mu → e.mu, never the reverse.
-		sess, err := s.replaySession(ctx, e.req, fr.Provider, *fr.Offer)
-		if err != nil {
-			return err
-		}
-		mon, err := NewMonitor(sess.SLA())
-		if err != nil {
-			return err
-		}
-		e.mu.Lock()
-		e.versionBase += e.session.Version()
-		e.session, e.mon = sess, mon
-		e.history = append(e.history, histOp{
-			Kind: "failover", Provider: fr.Provider, Offer: fr.Offer,
-		})
-		e.mu.Unlock()
-		return nil
+		return s.replayFailover(ctx, e, or)
 	case recCompose:
 		var cr composeRecord
 		if err := json.Unmarshal(r.Data, &cr); err != nil {
@@ -595,6 +544,28 @@ func (s *Server) replayRecord(ctx context.Context, r store.Record) error {
 	default:
 		return fmt.Errorf("unknown record type %q", r.Type)
 	}
+}
+
+// replayFailover rebinds e to the provider and offer a failover
+// record names, replaying the negotiation through the engine.
+func (s *Server) replayFailover(ctx context.Context, e *slaEntry, or observeRecord) error {
+	if or.Offer == nil {
+		return fmt.Errorf("failover record for %q without offer", or.ID)
+	}
+	// Rebuilt outside e.mu — replaySession takes s.mu and the lock
+	// order is s.mu → e.mu, never the reverse.
+	sess, err := s.replaySession(ctx, e.req, or.Provider, *or.Offer)
+	if err != nil {
+		return err
+	}
+	mon, err := NewMonitor(sess.SLA())
+	if err != nil {
+		return err
+	}
+	e.mu.Lock()
+	e.rebind(sess, mon)
+	e.mu.Unlock()
+	return nil
 }
 
 // applyFeedback replays recorded breaker effects verbatim.

@@ -14,6 +14,7 @@ import (
 	brokerslo "softsoa/internal/broker/slo"
 	"softsoa/internal/broker/store"
 	"softsoa/internal/cache"
+	"softsoa/internal/clock"
 	"softsoa/internal/obs"
 	"softsoa/internal/obs/journal"
 	"softsoa/internal/policy"
@@ -138,10 +139,28 @@ type slaEntry struct {
 	// accepted renegotiations, failovers), enough to rebuild the
 	// session deterministically from a snapshot. guarded by mu
 	history []histOp
+	// priorObs/priorViol are the lifetime counts of the bindings
+	// that failovers replaced, so compliance spans the SLA's whole
+	// life. guarded by mu
+	priorObs, priorViol int64
 }
 
 // version is the wire version of the agreement. Callers hold e.mu.
 func (e *slaEntry) version() int { return e.versionBase + e.session.Version() }
+
+// rebind installs a failover's new binding: the old session's
+// version and the old monitor's counts carry over, a fresh monitor
+// (with an empty failover window) takes over, and the failover joins
+// the binding history. Callers hold e.mu.
+func (e *slaEntry) rebind(session *Session, mon *Monitor) {
+	obs, viol, _, _ := e.mon.counts()
+	e.priorObs += obs
+	e.priorViol += viol
+	e.versionBase += e.session.Version()
+	e.session, e.mon = session, mon
+	offer := session.offerAttr
+	e.history = append(e.history, histOp{Kind: "failover", Provider: session.Provider(), Offer: &offer})
+}
 
 // Server is the broker daemon: registry + negotiator + composer
 // behind an HTTP mux, plus the store of live SLA sessions, their
@@ -158,7 +177,10 @@ type Server struct {
 	bm         *brokerMetrics
 	traces     *obs.TraceLog
 	logger     *slog.Logger
-	slo        *brokerslo.Reconciler // nil when the SLO subsystem is disabled
+	slo        *brokerslo.Reconciler
+	// clock and window time and size each monitor's failover window.
+	clock  clock.Clock
+	window windowSpec
 
 	// Flight-recorder configuration (immutable after construction).
 	journalRetention int
@@ -227,10 +249,11 @@ func WithBreaker(cfg BreakerConfig) ServerOption {
 	return func(c *serverConfig) { c.breaker = cfg }
 }
 
-// WithFailover enables violation-driven failover with the given
-// policy.
+// WithFailover sets the failover predicate's threshold; with
+// p.Enabled, a violating observation that makes it true fails the
+// SLA over.
 func WithFailover(p FailoverPolicy) ServerOption {
-	return func(c *serverConfig) { c.failover = p.withDefaults() }
+	return func(c *serverConfig) { c.failover = p }
 }
 
 // WithRequestTimeout bounds each request's total handling time
@@ -350,9 +373,12 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 		cfg.journalRetention = 1
 	}
 	reg := soa.NewRegistry()
+	sloCfg := cfg.slo.withDefaults()
 	s := &Server{
 		reg:              reg,
-		failover:         cfg.failover,
+		failover:         cfg.failover.withDefaults(),
+		clock:            sloCfg.Clock,
+		window:           windowSpec{slot: sloCfg.SweepEvery, fast: sloCfg.FastWindow, slow: sloCfg.SlowWindow},
 		entries:          make(map[string]*slaEntry),
 		metrics:          cfg.metrics,
 		traces:           obs.NewTraceLog(cfg.traceCap),
@@ -368,18 +394,13 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 		s.gate = newAdmission(cfg.admission, s.bm)
 	}
 	// Breaker transitions feed the state gauge and transition counter.
-	// The hook runs under the board lock, so it stays atomic-only; a
-	// user-supplied hook is chained after.
+	// The hook runs under the board lock, so it stays atomic-only.
 	breaker := cfg.breaker
-	userHook := breaker.OnTransition
-	breaker.OnTransition = func(provider string, from, to BreakerState) {
+	breaker.onTransition = func(provider string, from, to BreakerState) {
 		s.bm.breakerState.With(provider).Set(float64(to))
 		s.bm.breakerTransitions.With(provider, to.String()).Inc()
 		s.logger.Info("breaker transition",
 			"provider", provider, "from", from.String(), "to", to.String())
-		if userHook != nil {
-			userHook(provider, from, to)
-		}
 	}
 	s.health = NewHealthBoard(breaker)
 	// The breaker board gates provider selection in both the
@@ -407,7 +428,15 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 		composerOpts = append(composerOpts, WithSolverOptions(solver.WithWorkers(cfg.solverWorkers)))
 	}
 	s.composer = NewComposer(reg, penalty, composerOpts...)
-	s.slo = s.newSLO(cfg.slo)
+	s.slo = brokerslo.New(brokerslo.Config{
+		Source:        s,
+		SweepEvery:    sloCfg.SweepEvery,
+		FastWindow:    sloCfg.FastWindow,
+		SlowWindow:    sloCfg.SlowWindow,
+		BurnThreshold: s.failover.ViolationRate,
+		Registry:      s.metrics,
+		Logger:        s.logger,
+	})
 
 	mux := http.NewServeMux()
 	route := func(pattern string, h http.HandlerFunc) {
@@ -706,11 +735,13 @@ func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleObserve records a measured service level against a live SLA.
-// When failover is enabled and the violation rate crosses the policy
-// threshold, the bound provider's breaker is tripped and the original
-// request is renegotiated against the remaining healthy providers —
-// the paper's graceful degradation: the composition is monitored,
-// checked, and rebound when it stops honouring the agreement.
+// When failover is enabled and a violation makes the failover
+// predicate true over the binding's fast window, the bound provider's
+// breaker is tripped and the original request is renegotiated against
+// the remaining healthy providers — the paper's graceful degradation:
+// the composition is monitored, checked, and rebound when it stops
+// honouring the agreement. This is the only place failover is
+// decided.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var or ObserveRequest
 	if !readXML(w, r, &or) {
@@ -729,7 +760,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	provider := e.session.Provider()
-	violated := e.mon.Observe(or.Level)
+	now := s.clock.Now()
+	violated := e.mon.observeAt(now, s.window, or.Level)
 	rec := observeRecord{ID: or.ID, Level: or.Level, Violated: violated}
 	if violated {
 		s.bm.observations.With("violation").Inc()
@@ -741,7 +773,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		rec.Feedback = append(rec.Feedback, feedbackRecord{Provider: provider, Kind: "success"})
 	}
 	resp := ObserveResponse{ID: or.ID, Violated: violated, Provider: provider}
-	if violated && s.shouldFailOver(or.ID, e.mon) {
+	if violated && s.shouldFailOver(e, now) {
 		rebound, fb := s.failOverLocked(r.Context(), e)
 		rec.Feedback = append(rec.Feedback, fb...)
 		if rebound {
@@ -752,9 +784,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			rec.FailedOver = true
 			rec.Provider = resp.Provider
 			rec.Offer = &offer
-			e.history = append(e.history, histOp{
-				Kind: "failover", Provider: resp.Provider, Offer: &offer,
-			})
 		} else {
 			s.bm.failovers.With("stuck").Inc()
 		}
@@ -764,25 +793,20 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	writeXML(w, http.StatusOK, resp)
 }
 
-func (s *Server) shouldFailOver(id string, mon *Monitor) bool {
+// shouldFailOver evaluates the failover predicate over the binding's
+// fast window at now. Callers hold e.mu.
+func (s *Server) shouldFailOver(e *slaEntry, now time.Time) bool {
 	if !s.failover.Enabled {
 		return false
 	}
-	// An SLA the SLO reconciler flagged at risk fails over on its next
-	// violation even below the per-monitor threshold: the aggregate
-	// burn-rate signal has already condemned the binding.
-	if s.slo != nil && s.slo.AtRisk(id) {
-		return true
-	}
-	r := mon.Report()
-	return r.Observations >= s.failover.MinObservations &&
-		r.ViolationRate > s.failover.ViolationRate
+	fast, _ := e.mon.windows(now, s.window)
+	return s.failover.trips(fast)
 }
 
 // failOverLocked replays the entry's original request against the
 // remaining healthy providers (the sick one's breaker is tripped
-// first, so the negotiator skips it). On success the session is
-// replaced and a fresh monitor tracks the new agreement; on failure
+// first, so the negotiator skips it). On success the entry is rebound
+// and a fresh monitor tracks the new agreement; on failure
 // the old agreement stands and the next violation retries. The
 // breaker effects the attempt produced are returned so the caller can
 // journal them for replay. The caller holds e.mu.
@@ -803,9 +827,7 @@ func (s *Server) failOverLocked(ctx context.Context, e *slaEntry) (bool, []feedb
 	if err != nil {
 		return false, fb
 	}
-	e.versionBase += e.session.Version()
-	e.session = session
-	e.mon = mon
+	e.rebind(session, mon)
 	s.logger.InfoContext(ctx, "failover rebound agreement",
 		"service", e.req.Service, "from", sick, "to", session.Provider(),
 		"blevel", sla.AgreedLevel)

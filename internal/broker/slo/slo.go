@@ -1,21 +1,19 @@
-// Package slo is the broker's always-on SLO layer: a periodic
-// reconciliation sweep that walks every live SLA, recomputes
-// compliance from the accumulated observations, and publishes the
-// aggregate dependability signals the paper's monitoring story calls
-// for — per-SLA/per-provider compliance gauges, a blevel-drift
-// histogram (how far the observed level has strayed from the
-// negotiated one), and multi-window burn rates (violation rate over a
-// fast ~1m window and a slow ~1h window). Crossing the fast-window
-// threshold marks the SLA *at risk*: a structured slog event is
-// emitted carrying the SLA id and a trace id, the slo_at_risk gauge
-// flips, and the configured OnAtRisk hook fires — the broker wires it
-// to violation-driven failover, so a degraded provider is rebound
-// before the per-observation failover path would have noticed.
+// Package slo is the broker's SLO layer: a periodic reconciliation
+// sweep that walks every live SLA and publishes the aggregate
+// dependability signals the paper's monitoring story calls for —
+// per-SLA lifetime compliance gauges, a blevel-drift histogram (how
+// far the observed level has strayed from the negotiated one), the
+// violation rate over a fast (~1m) and a slow (~1h) window, and the
+// at-risk bit. The reconciler publishes; it does not decide. The
+// broker keeps each SLA's windowed counts with its binding and
+// evaluates the one failover predicate on every violating
+// observation; the at-risk bit a sample carries is that same
+// predicate, so slo_at_risk and the failover decision always agree.
+// Each at-risk and recovered transition is counted and logged as a
+// structured slog event carrying the SLA id and the sweep's trace id.
 //
-// The sweep loop is driven by an injectable clock.Clock: production
-// runs it on a ticker (Run), tests call Sweep directly under a fake
-// clock and assert every gauge and burn-rate transition
-// deterministically, with no sleeps.
+// Production runs the sweep on a ticker (Run); tests call Sweep
+// directly over a canned Source, with no sleeps.
 package slo
 
 import (
@@ -29,15 +27,28 @@ import (
 	"sync"
 	"time"
 
-	"softsoa/internal/clock"
 	"softsoa/internal/obs"
 )
 
+// Default periods, shared with the broker's failover window.
+const (
+	DefaultSweepEvery = 10 * time.Second
+	DefaultFastWindow = time.Minute
+	DefaultSlowWindow = time.Hour
+)
+
+// Window is an SLA's observation and violation counts over one burn
+// window.
+type Window struct {
+	Observations int64
+	Violations   int64
+}
+
+// Rate is Violations/Observations, 0 with no observations.
+func (w Window) Rate() float64 { return rate(w.Violations, w.Observations) }
+
 // Sample is one live SLA's compliance state at sweep time, produced
-// by the Source (the broker). Observations and Violations are
-// cumulative for the SLA's *current* monitor — a failover installs a
-// fresh monitor, so the counters (and Provider) reset together, which
-// the reconciler detects and treats as a window reset.
+// by the Source (the broker).
 type Sample struct {
 	// ID is the SLA id ("sla-7").
 	ID string
@@ -52,10 +63,15 @@ type Sample struct {
 	// The source computes it in the session's semiring, where "worse"
 	// is direction-dependent (higher cost, lower reliability).
 	Drift float64
-	// Observations and Violations are the monitor's cumulative
-	// counters.
+	// Observations and Violations are lifetime counts: they span
+	// every binding the SLA has had, failovers included.
 	Observations int64
 	Violations   int64
+	// Fast and Slow are the current binding's counts over the fast
+	// and slow windows; a failover restarts both.
+	Fast, Slow Window
+	// AtRisk is the failover predicate over Fast.
+	AtRisk bool
 }
 
 // Source supplies the sweep's input: a snapshot of every live SLA.
@@ -70,58 +86,37 @@ type Source interface {
 type Config struct {
 	// Source supplies the per-SLA samples (required).
 	Source Source
-	// Clock is the sweep's time source (default clock.Wall). Every
-	// window computation uses it, so a fake clock makes the whole
-	// reconciler deterministic.
-	Clock clock.Clock
-	// SweepEvery is Run's tick period (default 10s).
+	// SweepEvery is Run's tick period (default DefaultSweepEvery).
 	SweepEvery time.Duration
-	// FastWindow is the short burn-rate window; crossing
-	// BurnThreshold here flags the SLA at risk (default 1m).
+	// FastWindow and SlowWindow are the windows the source counts
+	// over (defaults DefaultFastWindow and DefaultSlowWindow). They
+	// are reported in snapshots; the source does the counting.
 	FastWindow time.Duration
-	// SlowWindow is the long burn-rate window, the backdrop the fast
-	// signal is judged against (default 1h). It also bounds how much
-	// per-sweep history is retained.
 	SlowWindow time.Duration
-	// BurnThreshold is the fast-window violation rate (violations /
-	// observations) above which an SLA is at risk (default 0.5).
+	// BurnThreshold is the fast-window violation rate the source's
+	// at-risk bit is judged against (default 0.5), reported in
+	// snapshots and at-risk events.
 	BurnThreshold float64
-	// MinWindowObservations gates the at-risk signal: fewer
-	// observations than this in the fast window cannot flag it, so a
-	// single unlucky probe on a quiet SLA does not page (default 3).
-	MinWindowObservations int64
 	// Registry receives the slo_* metric families (default: a
 	// private registry, useful only in tests).
 	Registry *obs.Registry
 	// Logger receives the structured at-risk / recovered events
 	// (default: discard).
 	Logger *slog.Logger
-	// OnAtRisk fires once per healthy→at-risk transition, after the
-	// sweep's bookkeeping is done and outside the reconciler's lock
-	// (so the hook may call back into AtRisk or the Source). The
-	// context carries the sweep's trace. The broker hooks failover
-	// here.
-	OnAtRisk func(ctx context.Context, id string)
 }
 
 func (c Config) withDefaults() Config {
-	if c.Clock == nil {
-		c.Clock = clock.Wall
-	}
 	if c.SweepEvery <= 0 {
-		c.SweepEvery = 10 * time.Second
+		c.SweepEvery = DefaultSweepEvery
 	}
 	if c.FastWindow <= 0 {
-		c.FastWindow = time.Minute
+		c.FastWindow = DefaultFastWindow
 	}
 	if c.SlowWindow <= 0 {
-		c.SlowWindow = time.Hour
+		c.SlowWindow = DefaultSlowWindow
 	}
 	if c.BurnThreshold <= 0 {
 		c.BurnThreshold = 0.5
-	}
-	if c.MinWindowObservations <= 0 {
-		c.MinWindowObservations = 3
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -137,35 +132,6 @@ func (c Config) withDefaults() Config {
 // larger ones for cost/downtime totals.
 var driftBuckets = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100}
 
-// window is one sweep's delta of an SLA's counters, timestamped by
-// the sweep's clock reading.
-type window struct {
-	t    time.Time
-	obs  int64
-	viol int64
-}
-
-// slaState is the reconciler's accumulated view of one SLA.
-type slaState struct {
-	provider   string
-	negotiated float64
-	drift      float64
-	// lastObs/lastViol are the cumulative counters at the previous
-	// sweep, the baseline the next delta is computed from.
-	lastObs, lastViol int64
-	// totalObs/totalViol survive monitor resets (failover installs a
-	// fresh monitor), so compliance reflects the SLA's whole life.
-	totalObs, totalViol int64
-	// buckets holds per-sweep deltas young enough to matter for the
-	// slow window, oldest first.
-	buckets  []window
-	fastRate float64
-	slowRate float64
-	fastObs  int64
-	atRisk   bool
-	seen     bool // refreshed each sweep; stale states are dropped
-}
-
 // Reconciler is the sweep engine. Construct with New; run with Run or
 // drive sweeps directly with Sweep.
 type Reconciler struct {
@@ -179,9 +145,9 @@ type Reconciler struct {
 	transitions *obs.CounterVec // by direction (at_risk/recovered)
 	drift       *obs.Histogram
 
-	mu    sync.Mutex
-	slas  map[string]*slaState // guarded by mu
-	order []string             // guarded by mu; ids sorted for deterministic snapshots
+	mu     sync.Mutex
+	latest []Sample        // guarded by mu; the latest sweep's samples, in id order
+	atRisk map[string]bool // guarded by mu; each tracked SLA's at-risk bit
 }
 
 // New returns a reconciler over cfg. Every slo_* metric family is
@@ -203,7 +169,7 @@ func New(cfg Config) *Reconciler {
 			"Violation rate per SLA over the fast and slow burn windows.",
 			"sla", "window"),
 		atRiskGauge: reg.GaugeVec("slo_at_risk",
-			"1 while the SLA's fast-window burn rate exceeds the threshold; failover consults this.",
+			"1 while the SLA's fast window meets the failover predicate (enough observations, violation rate above the threshold).",
 			"sla"),
 		transitions: reg.CounterVec("slo_at_risk_transitions_total",
 			"At-risk state transitions, by direction (at_risk / recovered).",
@@ -211,7 +177,7 @@ func New(cfg Config) *Reconciler {
 		drift: reg.Histogram("slo_blevel_drift",
 			"Distance from the negotiated blevel to the worst observed level, per SLA per sweep.",
 			driftBuckets),
-		slas: make(map[string]*slaState),
+		atRisk: make(map[string]bool),
 	}
 	// Materialise both transition series at zero so the family has
 	// samples (not just headers) before the first transition — scrapes
@@ -222,7 +188,7 @@ func New(cfg Config) *Reconciler {
 }
 
 // Run drives Sweep on a ticker until ctx is cancelled. It is the
-// production loop; tests call Sweep directly under a fake clock.
+// production loop; tests call Sweep directly.
 func (r *Reconciler) Run(ctx context.Context) {
 	t := time.NewTicker(r.cfg.SweepEvery)
 	defer t.Stop()
@@ -237,130 +203,56 @@ func (r *Reconciler) Run(ctx context.Context) {
 }
 
 // Sweep performs one reconciliation pass: pull samples from the
-// source, fold each into its SLA's windowed state, publish the
-// gauges, and fire the at-risk transitions. The source is consulted
-// and the hooks run outside the reconciler's lock, so a hook (or a
-// concurrent request handler consulting AtRisk) can never deadlock
-// against a sweep.
+// source, publish the gauges, and count and log the at-risk
+// transitions. The source is consulted and the events are logged
+// outside the reconciler's lock.
 func (r *Reconciler) Sweep(ctx context.Context) {
-	now := r.cfg.Clock.Now()
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		tr = obs.NewTrace("")
-		ctx = obs.ContextWithTrace(ctx, tr)
+	if obs.TraceFrom(ctx) == nil {
+		ctx = obs.ContextWithTrace(ctx, obs.NewTrace(""))
 	}
 	samples := r.cfg.Source.SLOSamples()
+	sort.Slice(samples, func(i, j int) bool { return idLess(samples[i].ID, samples[j].ID) })
 
-	type transition struct {
-		id     string
-		toRisk bool
-		rate   float64
-	}
-	var trans []transition
-
+	var changed []Sample
 	r.mu.Lock()
-	for i := range samples {
-		s := &samples[i]
-		st, ok := r.slas[s.ID]
-		if !ok {
-			st = &slaState{}
-			r.slas[s.ID] = st
+	next := make(map[string]bool, len(samples))
+	for _, s := range samples {
+		if s.AtRisk != r.atRisk[s.ID] {
+			changed = append(changed, s)
 		}
-		// A provider change or a counter running backwards means the
-		// monitor was replaced (failover): the burn windows restart
-		// with the new binding, and a standing at-risk flag clears —
-		// the rebind is exactly what the flag demanded.
-		if ok && (st.provider != s.Provider || s.Observations < st.lastObs) {
-			st.buckets = st.buckets[:0]
-			st.lastObs, st.lastViol = 0, 0
-			if st.atRisk {
-				st.atRisk = false
-				trans = append(trans, transition{id: s.ID, toRisk: false})
-			}
-		}
-		st.provider = s.Provider
-		st.negotiated = s.Negotiated
-		st.drift = s.Drift
-		st.seen = true
-		dObs := s.Observations - st.lastObs
-		dViol := s.Violations - st.lastViol
-		st.lastObs, st.lastViol = s.Observations, s.Violations
-		st.totalObs += dObs
-		st.totalViol += dViol
-		if dObs > 0 || dViol > 0 {
-			st.buckets = append(st.buckets, window{t: now, obs: dObs, viol: dViol})
-		}
-		// Trim everything older than the slow window; the fast rate
-		// re-filters the survivors.
-		cutSlow := now.Add(-r.cfg.SlowWindow)
-		for len(st.buckets) > 0 && !st.buckets[0].t.After(cutSlow) {
-			st.buckets = st.buckets[1:]
-		}
-		cutFast := now.Add(-r.cfg.FastWindow)
-		var fastObs, fastViol, slowObs, slowViol int64
-		for _, b := range st.buckets {
-			slowObs += b.obs
-			slowViol += b.viol
-			if b.t.After(cutFast) {
-				fastObs += b.obs
-				fastViol += b.viol
-			}
-		}
-		st.fastRate = rate(fastViol, fastObs)
-		st.slowRate = rate(slowViol, slowObs)
-		st.fastObs = fastObs
-		risky := fastObs >= r.cfg.MinWindowObservations && st.fastRate > r.cfg.BurnThreshold
-		if risky != st.atRisk {
-			st.atRisk = risky
-			trans = append(trans, transition{id: s.ID, toRisk: risky, rate: st.fastRate})
-		}
+		next[s.ID] = s.AtRisk
+		// Publish under the lock so a scrape races at most one sweep.
+		r.compliance.With(s.ID, s.Provider).Set(1 - rate(s.Violations, s.Observations))
+		r.burnRate.With(s.ID, "fast").Set(s.Fast.Rate())
+		r.burnRate.With(s.ID, "slow").Set(s.Slow.Rate())
+		r.atRiskGauge.With(s.ID).Set(bit(s.AtRisk))
+		r.drift.Observe(s.Drift)
 	}
-	// Drop SLAs the source no longer reports (expired, evicted).
-	for id, st := range r.slas {
-		if !st.seen {
-			delete(r.slas, id)
-			r.atRiskGauge.With(id).Set(0)
-			continue
-		}
-		st.seen = false
-	}
-	r.order = r.order[:0]
-	for id := range r.slas {
-		r.order = append(r.order, id)
-	}
-	sortByIDNumber(r.order)
-	// Publish under the lock so a scrape races at most one sweep.
-	for _, id := range r.order {
-		st := r.slas[id]
-		r.compliance.With(id, st.provider).Set(1 - rate(st.totalViol, st.totalObs))
-		r.burnRate.With(id, "fast").Set(st.fastRate)
-		r.burnRate.With(id, "slow").Set(st.slowRate)
-		if st.atRisk {
-			r.atRiskGauge.With(id).Set(1)
-		} else {
+	// SLAs the source no longer reports (expired, evicted) drop out.
+	for id := range r.atRisk {
+		if _, ok := next[id]; !ok {
 			r.atRiskGauge.With(id).Set(0)
 		}
-		r.drift.Observe(st.drift)
 	}
-	r.tracked.Set(float64(len(r.slas)))
+	r.atRisk = next
+	r.latest = samples
+	r.tracked.Set(float64(len(samples)))
 	r.sweeps.Inc()
 	r.mu.Unlock()
 
 	// The sweep's trace rides ctx, so a trace-aware handler
 	// (obs.NewLogger, what brokerd installs) stamps every event
 	// below with the trace id.
-	for _, t := range trans {
-		if t.toRisk {
+	for _, s := range changed {
+		if s.AtRisk {
 			r.transitions.With("at_risk").Inc()
 			r.cfg.Logger.WarnContext(ctx, "SLA at risk",
-				"sla", t.id,
-				"fast_burn_rate", t.rate, "threshold", r.cfg.BurnThreshold)
-			if r.cfg.OnAtRisk != nil {
-				r.cfg.OnAtRisk(ctx, t.id)
-			}
+				"sla", s.ID, "provider", s.Provider,
+				"fast_burn_rate", s.Fast.Rate(), "fast_observations", s.Fast.Observations,
+				"threshold", r.cfg.BurnThreshold)
 		} else {
 			r.transitions.With("recovered").Inc()
-			r.cfg.Logger.InfoContext(ctx, "SLA recovered", "sla", t.id)
+			r.cfg.Logger.InfoContext(ctx, "SLA recovered", "sla", s.ID, "provider", s.Provider)
 		}
 	}
 }
@@ -373,14 +265,11 @@ func rate(viol, obs int64) float64 {
 	return float64(viol) / float64(obs)
 }
 
-// AtRisk reports whether the latest sweep left the SLA flagged at
-// risk. Unknown ids are not at risk. Safe to call from request
-// handlers (the broker's failover check consults it).
-func (r *Reconciler) AtRisk(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.slas[id]
-	return ok && st.atRisk
+func bit(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SLASnapshot is one SLA's row in the debug snapshot.
@@ -421,25 +310,24 @@ func (r *Reconciler) Snapshot() Snapshot {
 		FastWindow:    r.cfg.FastWindow.String(),
 		SlowWindow:    r.cfg.SlowWindow.String(),
 		BurnThreshold: r.cfg.BurnThreshold,
-		SLAs:          make([]SLASnapshot, 0, len(r.slas)),
+		SLAs:          make([]SLASnapshot, 0, len(r.latest)),
 	}
 	if r.drift.Count() > 0 {
 		snap.DriftP50 = r.drift.Quantile(0.5)
 		snap.DriftP99 = r.drift.Quantile(0.99)
 	}
-	for _, id := range r.order {
-		st := r.slas[id]
+	for _, s := range r.latest {
 		snap.SLAs = append(snap.SLAs, SLASnapshot{
-			ID:           id,
-			Provider:     st.provider,
-			Negotiated:   st.negotiated,
-			Compliance:   1 - rate(st.totalViol, st.totalObs),
-			FastBurnRate: st.fastRate,
-			SlowBurnRate: st.slowRate,
-			Drift:        st.drift,
-			Observations: st.totalObs,
-			Violations:   st.totalViol,
-			AtRisk:       st.atRisk,
+			ID:           s.ID,
+			Provider:     s.Provider,
+			Negotiated:   s.Negotiated,
+			Compliance:   1 - rate(s.Violations, s.Observations),
+			FastBurnRate: s.Fast.Rate(),
+			SlowBurnRate: s.Slow.Rate(),
+			Drift:        s.Drift,
+			Observations: s.Observations,
+			Violations:   s.Violations,
+			AtRisk:       s.AtRisk,
 		})
 	}
 	return snap
@@ -455,9 +343,9 @@ func (r *Reconciler) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// sortByIDNumber orders minted ids by their numeric suffix ("sla-2"
-// before "sla-10"), falling back to lexical order for foreign ids.
-func sortByIDNumber(ids []string) {
+// idLess orders minted ids by their numeric suffix ("sla-2" before
+// "sla-10"), falling back to lexical order for foreign ids.
+func idLess(a, b string) bool {
 	num := func(id string) (int, bool) {
 		i := strings.LastIndexByte(id, '-')
 		if i < 0 {
@@ -466,12 +354,10 @@ func sortByIDNumber(ids []string) {
 		n, err := strconv.Atoi(id[i+1:])
 		return n, err == nil
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, aok := num(ids[i])
-		b, bok := num(ids[j])
-		if aok && bok && a != b {
-			return a < b
-		}
-		return ids[i] < ids[j]
-	})
+	x, xok := num(a)
+	y, yok := num(b)
+	if xok && yok && x != y {
+		return x < y
+	}
+	return a < b
 }

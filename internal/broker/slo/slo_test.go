@@ -8,32 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"softsoa/internal/clock"
 	"softsoa/internal/obs"
 )
-
-// fakeClock is a mutable deterministic time source. Every test in
-// this file drives the reconciler exclusively through it — no sleeps.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (f *fakeClock) now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
 
 // fakeSource is a programmable sample feed.
 type fakeSource struct {
@@ -53,23 +29,14 @@ func (f *fakeSource) set(samples ...Sample) {
 	f.mu.Unlock()
 }
 
-func testReconciler(t *testing.T, src Source, fc *fakeClock, onAtRisk func(ctx context.Context, id string)) *Reconciler {
+func testReconciler(t *testing.T, src Source) *Reconciler {
 	t.Helper()
-	return New(Config{
-		Source:                src,
-		Clock:                 clock.Clock(fc.now),
-		FastWindow:            time.Minute,
-		SlowWindow:            time.Hour,
-		BurnThreshold:         0.5,
-		MinWindowObservations: 3,
-		OnAtRisk:              onAtRisk,
-	})
+	return New(Config{Source: src, FastWindow: time.Minute, SlowWindow: time.Hour, BurnThreshold: 0.5})
 }
 
 func TestSweepComplianceAndSnapshot(t *testing.T) {
 	src := &fakeSource{}
-	fc := newFakeClock()
-	r := testReconciler(t, src, fc, nil)
+	r := testReconciler(t, src)
 
 	src.set(
 		Sample{ID: "sla-1", Provider: "p1", Metric: "cost", Negotiated: 20, Drift: 0, Observations: 10, Violations: 0},
@@ -107,13 +74,15 @@ func TestSweepComplianceAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestBurnRateWindows: the reconciler publishes the windows the
+// source counted; lifetime compliance comes from the lifetime counts,
+// not from the windows.
 func TestBurnRateWindows(t *testing.T) {
 	src := &fakeSource{}
-	fc := newFakeClock()
-	r := testReconciler(t, src, fc, nil)
+	r := testReconciler(t, src)
 
-	// Sweep 1: 10 observations, all violating.
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 10, Violations: 10})
+	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 10, Violations: 10,
+		Fast: Window{10, 10}, Slow: Window{10, 10}})
 	r.Sweep(context.Background())
 	if got := r.burnRate.With("sla-1", "fast").Value(); got != 1 {
 		t.Fatalf("fast burn after violating sweep = %g, want 1", got)
@@ -122,10 +91,10 @@ func TestBurnRateWindows(t *testing.T) {
 		t.Fatalf("slow burn after violating sweep = %g, want 1", got)
 	}
 
-	// Two minutes later the violating bucket ages out of the fast
-	// window; 10 fresh clean observations dominate it.
-	fc.advance(2 * time.Minute)
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 20, Violations: 10})
+	// The violations aged out of the fast window; ten fresh clean
+	// observations fill it.
+	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 20, Violations: 10,
+		Fast: Window{10, 0}, Slow: Window{20, 10}})
 	r.Sweep(context.Background())
 	if got := r.burnRate.With("sla-1", "fast").Value(); got != 0 {
 		t.Errorf("fast burn after clean recent window = %g, want 0", got)
@@ -134,127 +103,78 @@ func TestBurnRateWindows(t *testing.T) {
 		t.Errorf("slow burn = %g, want 0.5 (10 of 20 in the hour)", got)
 	}
 
-	// Two hours later everything has aged out of the slow window too.
-	fc.advance(2 * time.Hour)
+	// Everything aged out of the slow window too.
 	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 20, Violations: 10})
 	r.Sweep(context.Background())
 	if got := r.burnRate.With("sla-1", "slow").Value(); got != 0 {
 		t.Errorf("slow burn after windows drained = %g, want 0", got)
 	}
-	// Lifetime compliance still remembers everything.
 	if got := r.compliance.With("sla-1", "p1").Value(); got != 0.5 {
 		t.Errorf("lifetime compliance = %g, want 0.5", got)
 	}
 }
 
-func TestAtRiskTransitionsAndHook(t *testing.T) {
+// TestAtRiskTransitions: the gauge follows the source's at-risk bit,
+// and each change of it counts as one transition.
+func TestAtRiskTransitions(t *testing.T) {
 	src := &fakeSource{}
-	fc := newFakeClock()
-	var fired []string
-	r := testReconciler(t, src, fc, func(_ context.Context, id string) {
-		fired = append(fired, id)
-	})
-
-	// Healthy: plenty of observations, no violations.
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 5})
-	r.Sweep(context.Background())
-	if r.AtRisk("sla-1") {
-		t.Fatal("healthy SLA flagged at risk")
+	r := testReconciler(t, src)
+	sweep := func(atRisk bool) {
+		src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 5, AtRisk: atRisk})
+		r.Sweep(context.Background())
 	}
 
-	// Degraded: 6 new observations, all violating → fast rate 6/11,
-	// strictly above the 0.5 threshold (the comparison is strict, so
-	// exactly-at-threshold stays healthy).
-	fc.advance(10 * time.Second)
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 11, Violations: 6})
-	r.Sweep(context.Background())
-	if !r.AtRisk("sla-1") {
-		t.Fatal("degraded SLA not flagged at risk")
+	sweep(false)
+	if got := r.atRiskGauge.With("sla-1").Value(); got != 0 {
+		t.Fatalf("slo_at_risk gauge for a healthy SLA = %g, want 0", got)
 	}
+	sweep(true)
 	if got := r.atRiskGauge.With("sla-1").Value(); got != 1 {
 		t.Errorf("slo_at_risk gauge = %g, want 1", got)
 	}
-	if len(fired) != 1 || fired[0] != "sla-1" {
-		t.Fatalf("OnAtRisk fired %v, want [sla-1]", fired)
+	sweep(true) // still at risk: no new transition
+	if got := r.transitions.With("at_risk").Value(); got != 1 {
+		t.Fatalf("at_risk transitions while staying at risk = %d, want 1", got)
 	}
-
-	// Still degraded: the hook must not re-fire while at risk.
-	fc.advance(10 * time.Second)
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 13, Violations: 8})
-	r.Sweep(context.Background())
-	if len(fired) != 1 {
-		t.Fatalf("OnAtRisk re-fired while already at risk: %v", fired)
-	}
-
-	// Recovery: violations stop, the bad buckets age out.
-	fc.advance(2 * time.Minute)
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 20, Violations: 8})
-	r.Sweep(context.Background())
-	if r.AtRisk("sla-1") {
-		t.Fatal("recovered SLA still flagged at risk")
-	}
+	sweep(false)
 	if got := r.atRiskGauge.With("sla-1").Value(); got != 0 {
 		t.Errorf("slo_at_risk gauge after recovery = %g, want 0", got)
-	}
-	if got := r.transitions.With("at_risk").Value(); got != 1 {
-		t.Errorf("at_risk transitions = %d, want 1", got)
 	}
 	if got := r.transitions.With("recovered").Value(); got != 1 {
 		t.Errorf("recovered transitions = %d, want 1", got)
 	}
-}
-
-// TestMinWindowObservationsGate: a single violating probe on a quiet
-// SLA must not flag it.
-func TestMinWindowObservationsGate(t *testing.T) {
-	src := &fakeSource{}
-	fc := newFakeClock()
-	r := testReconciler(t, src, fc, nil)
-
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 1, Violations: 1})
-	r.Sweep(context.Background())
-	if r.AtRisk("sla-1") {
-		t.Fatal("SLA flagged at risk on a single observation (below MinWindowObservations)")
-	}
-	fc.advance(time.Second)
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 3, Violations: 3})
-	r.Sweep(context.Background())
-	if !r.AtRisk("sla-1") {
-		t.Fatal("SLA not flagged once the window reached MinWindowObservations")
+	if snap := r.Snapshot(); snap.SLAs[0].AtRisk {
+		t.Error("snapshot still reports the recovered SLA at risk")
 	}
 }
 
-// TestFailoverResetsWindow: a provider change (fresh monitor, counters
-// restart from zero) clears the at-risk flag and restarts the burn
-// windows — the rebind is what the flag asked for.
+// TestFailoverResetsWindow: after a failover the source reports the
+// new provider with an empty window and lifetime counts spanning both
+// bindings. The at-risk flag clears, the burn rate drops, and
+// lifetime compliance keeps the pre-failover violations.
 func TestFailoverResetsWindow(t *testing.T) {
 	src := &fakeSource{}
-	fc := newFakeClock()
-	var fired int
-	r := testReconciler(t, src, fc, func(context.Context, string) { fired++ })
+	r := testReconciler(t, src)
 
-	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 6, Violations: 6})
+	src.set(Sample{ID: "sla-1", Provider: "p1", Observations: 6, Violations: 6,
+		Fast: Window{6, 6}, Slow: Window{6, 6}, AtRisk: true})
 	r.Sweep(context.Background())
-	if !r.AtRisk("sla-1") || fired != 1 {
-		t.Fatalf("setup: atRisk=%v fired=%d, want true/1", r.AtRisk("sla-1"), fired)
-	}
 
-	// Failed over: new provider, monitor counters restarted.
-	fc.advance(10 * time.Second)
-	src.set(Sample{ID: "sla-1", Provider: "p2", Observations: 2, Violations: 0})
+	src.set(Sample{ID: "sla-1", Provider: "p2", Observations: 8, Violations: 6,
+		Fast: Window{2, 0}, Slow: Window{2, 0}})
 	r.Sweep(context.Background())
-	if r.AtRisk("sla-1") {
-		t.Fatal("at-risk flag survived the failover")
+	if got := r.atRiskGauge.With("sla-1").Value(); got != 0 {
+		t.Fatalf("at-risk gauge after the failover = %g, want 0", got)
 	}
 	if got := r.burnRate.With("sla-1", "fast").Value(); got != 0 {
 		t.Errorf("fast burn after failover = %g, want 0 (window restarted)", got)
 	}
-	if fired != 1 {
-		t.Errorf("OnAtRisk fired %d times, want 1", fired)
-	}
-	// Lifetime compliance keeps the pre-failover violations.
 	if got := r.compliance.With("sla-1", "p2").Value(); got != 0.25 {
 		t.Errorf("lifetime compliance = %g, want 0.25 (6 of 8 violated)", got)
+	}
+	row := r.Snapshot().SLAs[0]
+	if row.Observations != 8 || row.Violations != 6 || row.Compliance != 0.25 {
+		t.Errorf("snapshot row = %+v, want 6 of 8 violated", row)
 	}
 }
 
@@ -262,23 +182,16 @@ func TestFailoverResetsWindow(t *testing.T) {
 // from the snapshot and its at-risk gauge resets.
 func TestStaleSLADropped(t *testing.T) {
 	src := &fakeSource{}
-	fc := newFakeClock()
-	r := testReconciler(t, src, fc, nil)
+	r := testReconciler(t, src)
 
 	src.set(
-		Sample{ID: "sla-1", Provider: "p1", Observations: 6, Violations: 6},
+		Sample{ID: "sla-1", Provider: "p1", Observations: 6, Violations: 6, AtRisk: true},
 		Sample{ID: "sla-2", Provider: "p1", Observations: 4},
 	)
 	r.Sweep(context.Background())
-	if !r.AtRisk("sla-1") {
-		t.Fatal("setup: sla-1 should be at risk")
-	}
 
 	src.set(Sample{ID: "sla-2", Provider: "p1", Observations: 5})
 	r.Sweep(context.Background())
-	if r.AtRisk("sla-1") {
-		t.Fatal("dropped SLA still at risk")
-	}
 	snap := r.Snapshot()
 	if len(snap.SLAs) != 1 || snap.SLAs[0].ID != "sla-2" {
 		t.Fatalf("snapshot = %+v, want only sla-2", snap.SLAs)
@@ -290,8 +203,7 @@ func TestStaleSLADropped(t *testing.T) {
 
 func TestSnapshotIDOrdering(t *testing.T) {
 	src := &fakeSource{}
-	fc := newFakeClock()
-	r := testReconciler(t, src, fc, nil)
+	r := testReconciler(t, src)
 
 	src.set(
 		Sample{ID: "sla-10", Provider: "p1", Observations: 1},
@@ -311,8 +223,7 @@ func TestSnapshotIDOrdering(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	src := &fakeSource{}
-	fc := newFakeClock()
-	r := testReconciler(t, src, fc, nil)
+	r := testReconciler(t, src)
 	src.set(Sample{ID: "sla-1", Provider: "p1", Negotiated: 12, Observations: 4, Violations: 1})
 	r.Sweep(context.Background())
 
@@ -367,17 +278,12 @@ func TestRunStopsOnCancel(t *testing.T) {
 	}
 }
 
-// TestConcurrentSweepStress races sweeps against source mutation,
-// AtRisk queries, and snapshots. Run under -race this is the
-// reconciler's thread-safety proof.
+// TestConcurrentSweepStress races sweeps against source mutation and
+// snapshots. Run under -race this is the reconciler's thread-safety
+// proof.
 func TestConcurrentSweepStress(t *testing.T) {
 	src := &fakeSource{}
-	fc := newFakeClock()
-	var r *Reconciler
-	r = testReconciler(t, src, fc, func(_ context.Context, id string) {
-		// The hook runs outside r.mu: calling back in must not deadlock.
-		r.AtRisk(id)
-	})
+	r := testReconciler(t, src)
 
 	const iters = 300
 	var wg sync.WaitGroup
@@ -388,9 +294,8 @@ func TestConcurrentSweepStress(t *testing.T) {
 			obsN := int64(i + 1)
 			src.set(
 				Sample{ID: "sla-1", Provider: "p1", Observations: obsN, Violations: obsN / 2},
-				Sample{ID: "sla-2", Provider: "p2", Observations: obsN, Violations: obsN},
+				Sample{ID: "sla-2", Provider: "p2", Observations: obsN, Violations: obsN, AtRisk: i%2 == 0},
 			)
-			fc.advance(time.Second)
 		}
 	}()
 	go func() {
@@ -402,7 +307,6 @@ func TestConcurrentSweepStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			r.AtRisk("sla-1")
 			r.Snapshot()
 		}
 	}()

@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"context"
 	"net/http"
 	"time"
 
@@ -9,143 +8,95 @@ import (
 	"softsoa/internal/clock"
 )
 
-// SLO layer: the server owns an slo.Reconciler fed from its live SLA
-// entries. The reconciler is always on (WithSLO can tune or disable
-// it); brokerd runs its sweep loop, tests drive Sweep directly under a
-// fake clock. When a sweep flags an SLA at risk the OnAtRisk hook
-// fails the agreement over immediately — the paper's graceful
-// degradation triggered by the aggregate burn-rate signal instead of
-// waiting for the next per-observation threshold crossing — and the
-// observe path additionally consults the at-risk flag, so a flagged
-// SLA fails over on its next violation even below the per-monitor
-// failover threshold.
+// SLO layer: failover has one model, the violation rate over the
+// fast window. Each SLA's monitor keeps its binding's observations in
+// time-slotted window counts read with the SLO clock, and
+// handleObserve evaluates the failover predicate on every violating
+// observation. The server also owns an slo.Reconciler fed from the
+// live SLA entries: its sweep ages the windows and publishes them,
+// and its at-risk bit is the same predicate, so slo_at_risk and the
+// failover decision never disagree. brokerd runs the sweep loop;
+// tests drive Sweep directly under a fake clock.
 
-// SLOConfig tunes the server's SLO reconciler. The zero value selects
-// the documented defaults (see slo.Config); Disabled switches the
-// subsystem off entirely.
+// SLOConfig tunes the failover window and the server's SLO
+// reconciler. The zero value selects the documented defaults.
 type SLOConfig struct {
-	// Disabled switches the reconciler off: no slo_* metrics, no
-	// sweeps, and /v1/debug/slo answers 404.
-	Disabled bool
-	// SweepEvery is the reconciliation period (default 10s).
+	// SweepEvery is the reconciliation period and the width of a
+	// window slot (default 10s).
 	SweepEvery time.Duration
-	// FastWindow / SlowWindow are the burn-rate windows (default
-	// 1m / 1h).
+	// FastWindow is the failover window; SlowWindow is the slow burn
+	// window and bounds each SLA's window memory (default 1m / 1h).
 	FastWindow time.Duration
 	SlowWindow time.Duration
-	// BurnThreshold is the fast-window violation rate above which an
-	// SLA is at risk (default 0.5).
+	// Deprecated: nothing reads BurnThreshold. The at-risk threshold
+	// is FailoverPolicy.ViolationRate.
 	BurnThreshold float64
-	// MinWindowObservations gates the at-risk signal (default 3).
-	MinWindowObservations int64
-	// Clock overrides the sweep's time source (tests inject a fake).
+	// Clock is the window's time source (default clock.Wall; tests
+	// inject a fake).
 	Clock clock.Clock
 }
 
-// WithSLO tunes (or disables) the SLO reconciliation subsystem.
+func (c SLOConfig) withDefaults() SLOConfig {
+	if c.SweepEvery <= 0 {
+		c.SweepEvery = slo.DefaultSweepEvery
+	}
+	if c.FastWindow <= 0 {
+		c.FastWindow = slo.DefaultFastWindow
+	}
+	if c.SlowWindow <= 0 {
+		c.SlowWindow = slo.DefaultSlowWindow
+	}
+	if c.Clock == nil {
+		c.Clock = clock.Wall
+	}
+	return c
+}
+
+// WithSLO tunes the failover window and the SLO reconciler.
 func WithSLO(cfg SLOConfig) ServerOption {
 	return func(c *serverConfig) { c.slo = cfg }
 }
 
-// newSLO builds the server's reconciler; nil when disabled.
-func (s *Server) newSLO(cfg SLOConfig) *slo.Reconciler {
-	if cfg.Disabled {
-		return nil
-	}
-	return slo.New(slo.Config{
-		Source:                s,
-		Clock:                 cfg.Clock,
-		SweepEvery:            cfg.SweepEvery,
-		FastWindow:            cfg.FastWindow,
-		SlowWindow:            cfg.SlowWindow,
-		BurnThreshold:         cfg.BurnThreshold,
-		MinWindowObservations: cfg.MinWindowObservations,
-		Registry:              s.metrics,
-		Logger:                s.logger,
-		OnAtRisk:              s.sloFailOver,
-	})
-}
-
 // SLO exposes the server's reconciler so brokerd can run its sweep
-// loop and tests can drive sweeps deterministically. Nil when the
-// subsystem is disabled.
+// loop and tests can drive sweeps deterministically.
 func (s *Server) SLO() *slo.Reconciler { return s.slo }
 
 // SLOSamples implements slo.Source: a snapshot of every live SLA's
-// compliance state. The entry map is copied under s.mu, then each
-// entry is read under its own lock — the reconciler never holds its
-// lock while calling in, so sampling can never deadlock against a
-// request handler consulting AtRisk.
+// compliance state, with its windows aged to the SLO clock. The entry
+// map is copied under s.mu, then each entry is read under its own
+// lock.
 func (s *Server) SLOSamples() []slo.Sample {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.entries))
 	entries := make(map[string]*slaEntry, len(s.entries))
 	for id, e := range s.entries {
-		ids = append(ids, id)
 		entries[id] = e
 	}
 	s.mu.Unlock()
-	sortByIDNumber(ids)
-	samples := make([]slo.Sample, 0, len(ids))
-	for _, id := range ids {
-		e := entries[id]
+	now := s.clock.Now()
+	samples := make([]slo.Sample, 0, len(entries))
+	for id, e := range entries {
 		e.mu.Lock()
 		rep := e.mon.Report()
+		fast, slow := e.mon.windows(now, s.window)
 		samples = append(samples, slo.Sample{
 			ID:           id,
 			Provider:     e.session.Provider(),
 			Metric:       string(rep.Metric),
 			Negotiated:   rep.AgreedLevel,
 			Drift:        e.mon.drift(),
-			Observations: rep.Observations,
-			Violations:   rep.Violations,
+			Observations: e.priorObs + rep.Observations,
+			Violations:   e.priorViol + rep.Violations,
+			Fast:         fast,
+			Slow:         slow,
+			AtRisk:       s.failover.trips(fast),
 		})
 		e.mu.Unlock()
 	}
 	return samples
 }
 
-// sloFailOver is the reconciler's OnAtRisk hook: an SLA whose
-// fast-window burn rate crossed the threshold is failed over to a
-// healthy provider right away. The attempt — rebound or stuck — is
-// journalled as a recSLOFailover WAL record so recovery replays the
-// same binding and breaker effects.
-func (s *Server) sloFailOver(ctx context.Context, id string) {
-	if !s.failover.Enabled {
-		return
-	}
-	e, ok := s.entry(id)
-	if !ok {
-		return
-	}
-	defer s.maybeSnapshot()
-	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rebound, fb := s.failOverLocked(ctx, e)
-	rec := sloFailoverRecord{ID: id, Feedback: fb}
-	if rebound {
-		s.bm.failovers.With("slo_rebound").Inc()
-		offer := e.session.offerAttr
-		rec.FailedOver = true
-		rec.Provider = e.session.Provider()
-		rec.Offer = &offer
-		e.history = append(e.history, histOp{
-			Kind: "failover", Provider: rec.Provider, Offer: &offer,
-		})
-	} else {
-		s.bm.failovers.With("slo_stuck").Inc()
-	}
-	s.appendRecord(recSLOFailover, rec)
-}
-
 // handleDebugSLO serves the reconciler's read-only snapshot as JSON.
 func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	if s.slo == nil {
-		writeError(w, http.StatusNotFound, "slo reconciler disabled")
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	//lint:ignore errcheck the response write is best-effort; a failed write means the client is gone
 	_ = s.slo.WriteJSON(w)

@@ -39,23 +39,45 @@ func (c *sloClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// sloServer builds a broker whose per-observation failover threshold
-// is unreachable (MinObservations 1000), so any failover in these
-// tests is attributable to the SLO layer: either the at-risk hook or
-// the observe path consulting the at-risk flag.
+// sloServer builds a failover broker whose window runs on fc: the
+// predicate trips with at least 3 observations in the last minute and
+// a violation rate above 0.5. Breakers only open by failover trips.
 func sloServer(fc *sloClock, opts ...ServerOption) *Server {
 	base := []ServerOption{
 		WithBreaker(BreakerConfig{FailureThreshold: 1000, OpenTimeout: time.Hour}),
-		WithFailover(FailoverPolicy{Enabled: true, ViolationRate: 0.99, MinObservations: 1000}),
+		WithFailover(FailoverPolicy{Enabled: true, ViolationRate: 0.5, MinObservations: 3}),
 		WithSLO(SLOConfig{
-			Clock:                 clock.Clock(fc.now),
-			FastWindow:            time.Minute,
-			SlowWindow:            time.Hour,
-			BurnThreshold:         0.5,
-			MinWindowObservations: 3,
+			Clock:      clock.Clock(fc.now),
+			FastWindow: time.Minute,
+			SlowWindow: time.Hour,
 		}),
 	}
 	return NewServer(DefaultLinkPenalty, append(base, opts...)...)
+}
+
+// observeN posts n observations at level and returns the last
+// response.
+func observeN(t *testing.T, client *Client, id string, n int, level float64) *ObserveResponse {
+	t.Helper()
+	var obs *ObserveResponse
+	for i := 0; i < n; i++ {
+		var err error
+		if obs, err = client.Observe(context.Background(), id, level); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return obs
+}
+
+// sloRow sweeps and returns the snapshot row of the one live SLA.
+func sloRow(t *testing.T, srv *Server) slo.SLASnapshot {
+	t.Helper()
+	srv.SLO().Sweep(context.Background())
+	snap := srv.SLO().Snapshot()
+	if len(snap.SLAs) != 1 {
+		t.Fatalf("snapshot tracks %d SLAs, want 1", len(snap.SLAs))
+	}
+	return snap.SLAs[0]
 }
 
 // negotiateFlaky publishes a cheap flaky provider and a pricier
@@ -86,9 +108,10 @@ func negotiateFlaky(t *testing.T, client *Client) *soa.SLA {
 	return sla
 }
 
-// TestSLOHandoffDeterministic walks one SLA through the full
-// lifecycle the issue demands — healthy → at-risk → failed-over —
-// driven exclusively by the injected clock and direct Sweep calls.
+// TestSLOHandoffDeterministic walks one SLA through healthy →
+// at-risk → failed-over under the injected clock. The failover lands
+// on the violating observation that makes the fast-window predicate
+// true, and the sweeps around it report the same predicate.
 func TestSLOHandoffDeterministic(t *testing.T) {
 	fc := newSLOClock()
 	srv := sloServer(fc)
@@ -97,78 +120,58 @@ func TestSLOHandoffDeterministic(t *testing.T) {
 	client := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 	sla := negotiateFlaky(t, client)
-	rec := srv.SLO()
 
 	// Healthy: compliant observations only.
-	for i := 0; i < 2; i++ {
-		if _, err := client.Observe(ctx, sla.ID, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec.Sweep(ctx)
-	if rec.AtRisk(sla.ID) {
-		t.Fatal("healthy SLA flagged at risk")
-	}
-	snap := rec.Snapshot()
-	if len(snap.SLAs) != 1 || snap.SLAs[0].Compliance != 1 {
-		t.Fatalf("healthy snapshot = %+v, want one fully compliant SLA", snap.SLAs)
+	observeN(t, client, sla.ID, 2, 2)
+	if row := sloRow(t, srv); row.AtRisk || row.Compliance != 1 || row.FastBurnRate != 0 {
+		t.Fatalf("healthy row = %+v, want compliant and not at risk", row)
 	}
 
-	// Degraded: five violations inside the fast window. None of them
-	// fails over on the observe path (threshold unreachable, flag not
-	// set yet).
+	// Degrading: two violations bring the window to 2 of 4, exactly
+	// the threshold. The comparison is strict, so no failover, and the
+	// sweep agrees.
 	fc.advance(10 * time.Second)
-	for i := 0; i < 5; i++ {
-		obs, err := client.Observe(ctx, sla.ID, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !obs.Violated {
-			t.Fatal("level 6 should violate the agreement")
-		}
-		if obs.FailedOver {
-			t.Fatal("observe path failed over before the SLO sweep flagged the SLA")
-		}
+	if obs := observeN(t, client, sla.ID, 2, 6); !obs.Violated || obs.FailedOver {
+		t.Fatalf("at-threshold observation = %+v, want violated without failover", obs)
+	}
+	if row := sloRow(t, srv); row.AtRisk || row.FastBurnRate != 0.5 {
+		t.Fatalf("at-threshold row = %+v, want burn 0.5 and not at risk", row)
 	}
 
-	// The sweep crosses the burn threshold (5 of 7 fast-window
-	// observations violated), flags the SLA and fails it over via the
-	// OnAtRisk hook — all within this one call.
-	rec.Sweep(ctx)
-	if !rec.AtRisk(sla.ID) {
-		t.Fatal("degraded SLA not flagged at risk")
+	// At risk: the third violation makes it 3 of 5 and fails over on
+	// that very observation.
+	obs := observeN(t, client, sla.ID, 1, 6)
+	if !obs.Violated || !obs.FailedOver || obs.Provider != "backup" {
+		t.Fatalf("crossing observation = %+v, want violated and failed over to backup", obs)
 	}
 	got, err := client.SLA(ctx, sla.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Providers[0] != "backup" {
-		t.Fatalf("after at-risk sweep the SLA is bound to %s, want backup", got.Providers[0])
-	}
-	if got.Version <= sla.Version {
-		t.Fatalf("failover did not bump the version: %d -> %d", sla.Version, got.Version)
+	if got.Providers[0] != "backup" || got.Version <= sla.Version {
+		t.Fatalf("after failover: bound to %s at v%d, want backup past v%d", got.Providers[0], got.Version, sla.Version)
 	}
 
-	// The next sweep sees the new binding (fresh monitor, provider
-	// change) and clears the flag: the rebind was the remedy.
+	// Failed over: the fresh binding's window is empty, so the next
+	// sweep reports it healthy; lifetime compliance still counts the
+	// old binding's 3 violations of 5.
 	fc.advance(10 * time.Second)
-	rec.Sweep(ctx)
-	if rec.AtRisk(sla.ID) {
-		t.Fatal("at-risk flag survived the failover")
+	row := sloRow(t, srv)
+	if row.AtRisk || row.Provider != "backup" || row.FastBurnRate != 0 {
+		t.Fatalf("post-failover row = %+v, want backup, burn 0, not at risk", row)
 	}
-	snap = rec.Snapshot()
-	if snap.SLAs[0].Provider != "backup" {
-		t.Fatalf("snapshot provider = %s, want backup", snap.SLAs[0].Provider)
+	if row.Observations != 5 || row.Violations != 3 {
+		t.Fatalf("post-failover lifetime = %d/%d, want 3 of 5 violated", row.Violations, row.Observations)
 	}
-	if snap.SLAs[0].FastBurnRate != 0 {
-		t.Fatalf("fast burn rate after failover = %g, want 0", snap.SLAs[0].FastBurnRate)
+	if got := srv.bm.failovers.With("rebound").Value(); got != 1 {
+		t.Fatalf("rebound failovers = %d, want 1", got)
 	}
 }
 
-// TestSLOObservePathConsultsAtRisk pins the second handoff route: when
-// the at-risk hook's failover attempt is stuck (no healthy
-// replacement), the flag stays up and the next violating observation
-// retries the failover through the observe path.
+// TestSLOObservePathConsultsAtRisk: when the failover attempt is
+// stuck (no healthy replacement), the predicate stays true, the sweep
+// reports the SLA at risk, and the next violating observation after a
+// replacement appears rebinds it.
 func TestSLOObservePathConsultsAtRisk(t *testing.T) {
 	fc := newSLOClock()
 	srv := sloServer(fc)
@@ -177,7 +180,7 @@ func TestSLOObservePathConsultsAtRisk(t *testing.T) {
 	client := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	// Only one provider: the hook's failover has nowhere to go.
+	// Only one provider: the failover has nowhere to go.
 	if err := client.Publish(ctx, costDoc("flaky", "svc", 2, 0, "eu")); err != nil {
 		t.Fatal(err)
 	}
@@ -191,40 +194,85 @@ func TestSLOObservePathConsultsAtRisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := client.Observe(ctx, sla.ID, 6); err != nil {
-			t.Fatal(err)
-		}
+	if obs := observeN(t, client, sla.ID, 3, 6); obs.FailedOver {
+		t.Fatal("failed over with no replacement available")
 	}
-	rec := srv.SLO()
-	rec.Sweep(ctx)
-	if !rec.AtRisk(sla.ID) {
-		t.Fatal("SLA not flagged at risk")
+	if got := srv.bm.failovers.With("stuck").Value(); got != 1 {
+		t.Fatalf("stuck failovers = %d, want 1", got)
 	}
-	if got := srv.bm.failovers.With("slo_stuck").Value(); got != 1 {
-		t.Fatalf("slo_stuck failovers = %d, want 1 (no replacement available)", got)
+	if row := sloRow(t, srv); !row.AtRisk {
+		t.Fatalf("row after stuck attempt = %+v, want at risk", row)
 	}
 
-	// A replacement appears. The stuck hook does not re-fire (still at
-	// risk, no new transition), but the observe path consults the flag
-	// on the next violation and completes the failover. flaky's breaker
-	// was tripped by the stuck attempt, so the renegotiation can only
-	// choose backup.
+	// A replacement appears. flaky's breaker was tripped by the stuck
+	// attempt, so the next violation's renegotiation can only choose
+	// backup.
 	if err := client.Publish(ctx, costDoc("backup", "svc", 3, 0, "us")); err != nil {
 		t.Fatal(err)
 	}
-	obs, err := client.Observe(ctx, sla.ID, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs := observeN(t, client, sla.ID, 1, 6)
 	if !obs.FailedOver || obs.Provider != "backup" {
-		t.Fatalf("observe after at-risk flag: failedOver=%t provider=%s, want true/backup",
+		t.Fatalf("observe after stuck attempt: failedOver=%t provider=%s, want true/backup",
 			obs.FailedOver, obs.Provider)
+	}
+	if row := sloRow(t, srv); row.AtRisk || row.Provider != "backup" {
+		t.Fatalf("row after rebind = %+v, want backup and not at risk", row)
+	}
+	if got := srv.bm.failovers.With("rebound").Value(); got != 1 {
+		t.Fatalf("rebound failovers = %d, want 1", got)
 	}
 }
 
-// TestSLODebugEndpoint exercises GET /v1/debug/slo end to end, and its
-// 404 when the subsystem is disabled.
+// TestSLOStaleViolationsAgeOut: observations older than the fast
+// window no longer count toward failover. Two violations, then two
+// fast windows of silence, then one more: the window holds a single
+// observation, below MinObservations, so the SLA stays bound. A
+// lifetime rate would read 3 of 3 and fail over.
+func TestSLOStaleViolationsAgeOut(t *testing.T) {
+	fc := newSLOClock()
+	srv := sloServer(fc)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := NewClient(ts.URL, ts.Client())
+	sla := negotiateFlaky(t, client)
+
+	observeN(t, client, sla.ID, 2, 6)
+	fc.advance(2 * time.Minute)
+	if obs := observeN(t, client, sla.ID, 1, 6); !obs.Violated || obs.FailedOver || obs.Provider != "flaky" {
+		t.Fatalf("observation after the window aged = %+v, want violated, still bound to flaky", obs)
+	}
+	row := sloRow(t, srv)
+	if row.AtRisk || row.FastBurnRate != 1 || row.Violations != 3 {
+		t.Fatalf("row = %+v, want 3 lifetime violations, fast burn 1 over 1 observation, not at risk", row)
+	}
+}
+
+// TestSLOMinObservationsGate: a single violating probe on a quiet SLA
+// does not put it at risk; the predicate needs MinObservations in the
+// window. Failover is off here, and the at-risk gauge still reports
+// the predicate under the default policy (0.5 over >= 3).
+func TestSLOMinObservationsGate(t *testing.T) {
+	fc := newSLOClock()
+	srv := sloServer(fc, WithFailover(FailoverPolicy{}))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := NewClient(ts.URL, ts.Client())
+	sla := negotiateFlaky(t, client)
+
+	observeN(t, client, sla.ID, 1, 6)
+	if row := sloRow(t, srv); row.AtRisk {
+		t.Fatalf("row after one violation = %+v, want not at risk (below MinObservations)", row)
+	}
+	fc.advance(time.Second)
+	if obs := observeN(t, client, sla.ID, 2, 6); obs.FailedOver {
+		t.Fatal("failed over with failover disabled")
+	}
+	if row := sloRow(t, srv); !row.AtRisk || row.Provider != "flaky" {
+		t.Fatalf("row after three violations = %+v, want at risk, still bound to flaky", row)
+	}
+}
+
+// TestSLODebugEndpoint exercises GET /v1/debug/slo end to end.
 func TestSLODebugEndpoint(t *testing.T) {
 	fc := newSLOClock()
 	srv := sloServer(fc)
@@ -264,74 +312,69 @@ func TestSLODebugEndpoint(t *testing.T) {
 		t.Fatalf("snapshot violations = %d, want 1", snap.SLAs[0].Violations)
 	}
 
-	off := httptest.NewServer(NewServer(DefaultLinkPenalty,
-		WithSLO(SLOConfig{Disabled: true})).Handler())
-	defer off.Close()
-	resp, err = http.Get(off.URL + "/v1/debug/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore errcheck test response body close
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled /v1/debug/slo: %d, want 404", resp.StatusCode)
-	}
 }
 
-// TestSLOFailoverRecovery proves the recSLOFailover WAL record
-// replays: a broker whose SLA was failed over by the SLO hook is
-// abandoned and recovered, and the recovered wire state is
-// byte-identical.
+// TestSLOFailoverRecovery: a state directory written by an earlier
+// broker may hold slofailover records, which its sweep wrote when it
+// rebound an SLA. Nothing writes them now, but recovery still replays
+// them: a WAL with a hand-built slofailover record recovers
+// byte-exact to the state of the same failover made live.
 func TestSLOFailoverRecovery(t *testing.T) {
-	mem := store.NewMemory()
-	fc := newSLOClock()
-	srv := sloServer(fc, WithStateStore(mem), WithSnapshotEvery(0))
-	ts := httptest.NewServer(srv.Handler())
-	client := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
-	sla := negotiateFlaky(t, client)
-	for i := 0; i < 4; i++ {
-		if _, err := client.Observe(ctx, sla.ID, 6); err != nil {
+	mem := store.NewMemory()
+	legacy := sloServer(newSLOClock(), WithStateStore(mem), WithSnapshotEvery(0))
+	lts := httptest.NewServer(legacy.Handler())
+	lclient := NewClient(lts.URL, lts.Client())
+	sla := negotiateFlaky(t, lclient)
+	observeN(t, lclient, sla.ID, 2, 6)
+	lts.Close()
+	// The sweep-triggered rebind as an earlier broker journalled it:
+	// flaky tripped, the replay negotiated with backup alone. Then one
+	// compliant observation of the new binding.
+	for _, rec := range []struct{ typ, data string }{
+		{recSLOFailover, `{"id":"sla-1","failedOver":true,"provider":"backup",` +
+			`"offer":{"Name":"fee","Metric":"cost","Base":3,"PerUnit":0,"Resource":"failures","MaxUnits":10},` +
+			`"feedback":[{"provider":"flaky","kind":"trip"},{"provider":"backup","kind":"success"}]}`},
+		{recObserve, `{"id":"sla-1","level":3,"violated":false,"feedback":[{"provider":"backup","kind":"success"}]}`},
+	} {
+		if _, err := mem.Append(rec.typ, []byte(rec.data)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv.SLO().Sweep(ctx) // at-risk hook fails the SLA over to backup
-	got, err := client.SLA(ctx, sla.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Providers[0] != "backup" {
-		t.Fatalf("setup: bound to %s, want backup", got.Providers[0])
-	}
-	// A compliant observation against the fresh binding lands after
-	// the failover record in the WAL.
-	if _, err := client.Observe(ctx, sla.ID, 3); err != nil {
-		t.Fatal(err)
-	}
-	before := stateBodies(t, ts.URL, []string{sla.ID})
-	ts.Close() // abandon without drain or flush
 
-	srv2 := sloServer(newSLOClock(), WithStateStore(mem), WithSnapshotEvery(0))
-	stats, err := srv2.Recover(ctx)
+	// The same history made live: the third violation fails over.
+	live := sloServer(newSLOClock())
+	ts := httptest.NewServer(live.Handler())
+	defer ts.Close()
+	client := NewClient(ts.URL, ts.Client())
+	sla = negotiateFlaky(t, client)
+	if obs := observeN(t, client, sla.ID, 3, 6); !obs.FailedOver {
+		t.Fatal("setup: the live SLA did not fail over")
+	}
+	observeN(t, client, sla.ID, 1, 3)
+	want := stateBodies(t, ts.URL, []string{sla.ID})
+
+	srv := sloServer(newSLOClock(), WithStateStore(mem), WithSnapshotEvery(0))
+	stats, err := srv.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SLAs != 1 {
-		t.Fatalf("recovered %d SLAs, want 1", stats.SLAs)
+	if stats.SLAs != 1 || stats.Replayed != len(mem.Records()) {
+		t.Fatalf("recovered %d SLAs from %d of %d records, want 1 from all", stats.SLAs, stats.Replayed, len(mem.Records()))
 	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	after := stateBodies(t, ts2.URL, []string{sla.ID})
-	for p, want := range before {
-		if after[p] != want {
-			t.Errorf("recovered %s diverged\n--- before ---\n%s\n--- after ---\n%s", p, want, after[p])
+	rts := httptest.NewServer(srv.Handler())
+	defer rts.Close()
+	got := stateBodies(t, rts.URL, []string{sla.ID})
+	for p, w := range want {
+		if got[p] != w {
+			t.Errorf("recovered %s diverged from the live failover\n--- live ---\n%s\n--- recovered ---\n%s", p, w, got[p])
 		}
 	}
 }
 
 // TestSLOConcurrentObserveSweepStress races observations (violating
-// and compliant), sweeps under an advancing fake clock, at-risk
-// queries and debug snapshots. Under -race this is the wiring's
+// and compliant), sweeps under an advancing fake clock, direct
+// samples and debug snapshots. Under -race this is the wiring's
 // thread-safety and deadlock-freedom proof.
 func TestSLOConcurrentObserveSweepStress(t *testing.T) {
 	fc := newSLOClock()
@@ -369,7 +412,7 @@ func TestSLOConcurrentObserveSweepStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			rec.AtRisk(sla.ID)
+			srv.SLOSamples()
 		}
 	}()
 	go func() {

@@ -15,8 +15,13 @@ LOAD=$WORK/softsoa-load
 REPORT=$WORK/BENCH_load.json
 METRICS=$(mktemp)
 
+# Stop brokerd and wait for its drain to finish before deleting the
+# binary it runs from, so no brokerd outlives the script.
 cleanup() {
-    [ -n "${PID:-}" ] && kill "$PID" 2>/dev/null || true
+    if [ -n "${PID:-}" ]; then
+        kill "$PID" 2>/dev/null || true
+        wait "$PID" 2>/dev/null || true
+    fi
     rm -rf "$WORK" "$METRICS"
 }
 trap cleanup EXIT INT TERM
