@@ -37,15 +37,14 @@ func Record(meta journal.Meta, label, src string, seed int64, fuel, capacity int
 		return nil, err
 	}
 	j := journal.New(capacity, meta)
-	j.SetSemiring(c.Semiring.Name())
+	j.SetSemiring(c.Semiring)
 	j.BeginSegment(journal.Segment{Label: label, Program: src, Seed: seed, Fuel: fuel})
-	m := c.NewMachine(sccp.WithSeed[float64](seed), sccp.WithRecorder[float64](j))
+	m := c.NewMachine(sccp.WithSeed[float64](seed), sccp.WithRecorder(j))
 	status, err := m.Run(fuel)
 	if err != nil {
 		return nil, err
 	}
-	sr := c.Semiring
-	j.EndSegment(status.String(), m.Store().Constraint().String(), sr.Format(m.Store().Blevel()))
+	j.EndRun(status.String(), m.Store().Constraint(), m.Store().Blevel())
 	return &Run{Journal: j, Status: status, Machine: m}, nil
 }
 
@@ -85,13 +84,15 @@ func (r *Report) OK() bool {
 	return true
 }
 
-// collector captures replayed transitions for comparison.
+// collector captures replayed transitions for comparison, rendered
+// by the replayed program's semiring.
 type collector struct {
-	recs []journal.TransitionRecord
+	format func(float64) string
+	recs   []journal.TransitionRecord
 }
 
-func (c *collector) RecordTransition(r journal.TransitionRecord) {
-	c.recs = append(c.recs, r)
+func (c *collector) RecordTransition(t journal.Transition) {
+	c.recs = append(c.recs, t.Render(c.format))
 }
 
 // Verify re-executes every replayable segment of the journal and
@@ -140,8 +141,8 @@ func verifySegment(seg journal.Segment, recorded []journal.TransitionRecord) Seg
 		mismatch("program does not compile: %v", err)
 		return res
 	}
-	col := &collector{}
-	m := c.NewMachine(sccp.WithSeed[float64](seg.Seed), sccp.WithRecorder[float64](col))
+	col := &collector{format: c.Semiring.Format}
+	m := c.NewMachine(sccp.WithSeed[float64](seg.Seed), sccp.WithRecorder(col))
 	fuel := seg.Fuel
 	if fuel <= 0 {
 		fuel = 10000

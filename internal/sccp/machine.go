@@ -91,13 +91,16 @@ type Machine[T any] struct {
 	dropped  int64
 	steps    int
 
-	// rec, when set, receives one TransitionRecord per applied
+	// rec, when set, receives one journal.Transition per applied
 	// transition, flushed at the end of Step so administrative
 	// via-suffixes (R9/R10/Timeout) are already folded into the rule
-	// name. lastC/lastCheck stage the acting constraint and threshold
+	// name. recLevel hands σ⇓∅ to the journal as the float64 it
+	// records (WithRecorder exists for float64 carriers only).
+	// lastC/lastCheck stage the acting constraint and threshold
 	// between record and flush; prevBlevel is σ⇓∅ before the pending
 	// transition.
 	rec        journal.Recorder
+	recLevel   func(T) float64
 	prevBlevel T
 	lastC      *core.Constraint[T]
 	lastCheck  Check[T]
@@ -144,12 +147,15 @@ func WithUnboundedTrace[T any]() MachineOption[T] {
 }
 
 // WithRecorder streams every applied transition into rec as a
-// journal.TransitionRecord: rule name (with via-suffixes), acting
-// agent, the told/retracted constraint in canonical form, the
-// threshold annotation, and σ⇓∅ before/after. With a nil recorder
-// the machine formats nothing.
-func WithRecorder[T any](rec journal.Recorder) MachineOption[T] {
-	return func(m *Machine[T]) { m.rec = rec }
+// journal.Transition: rule name (with via-suffixes), acting agent,
+// the told/retracted constraint and the threshold annotation as
+// values, and σ⇓∅ before/after as raw float64s. The machine formats
+// none of them; the journal renders them when it is read.
+func WithRecorder(rec journal.Recorder) MachineOption[float64] {
+	return func(m *Machine[float64]) {
+		m.rec = rec
+		m.recLevel = func(v float64) float64 { return v }
+	}
 }
 
 // NewMachine returns a machine for the initial configuration
@@ -312,20 +318,20 @@ func (m *Machine[T]) flush() {
 	}
 	if m.rec != nil {
 		sr := m.space.Semiring()
-		tr := journal.TransitionRecord{
+		tr := journal.Transition{
 			Step:         ev.Step,
 			Rule:         ev.Rule,
 			Agent:        ev.Agent,
-			BlevelBefore: sr.Format(m.prevBlevel),
-			BlevelAfter:  sr.Format(ev.Blevel),
+			BlevelBefore: m.recLevel(m.prevBlevel),
+			BlevelAfter:  m.recLevel(ev.Blevel),
 			Consistent:   !sr.Eq(ev.Blevel, sr.Zero()),
 			Cut:          ev.Cut,
 		}
 		if m.lastC != nil {
-			tr.Delta = m.lastC.String()
+			tr.Delta = m.lastC
 		}
 		if !m.lastCheck.unrestricted() {
-			tr.Check = m.lastCheck.String()
+			tr.Check = m.lastCheck
 		}
 		m.rec.RecordTransition(tr)
 		m.prevBlevel = ev.Blevel

@@ -78,9 +78,9 @@ func TestUnboundedTraceKeepsCompleteHistory(t *testing.T) {
 }
 
 // recSink collects transition records for assertions.
-type recSink struct{ recs []journal.TransitionRecord }
+type recSink struct{ recs []journal.Transition }
 
-func (r *recSink) RecordTransition(tr journal.TransitionRecord) { r.recs = append(r.recs, tr) }
+func (r *recSink) RecordTransition(tr journal.Transition) { r.recs = append(r.recs, tr) }
 
 // TestRecorderSeesEveryTransition: the recorder stream is complete
 // even when the machine's own trace ring wraps — journalling does not
@@ -88,7 +88,7 @@ func (r *recSink) RecordTransition(tr journal.TransitionRecord) { r.recs = appen
 func TestRecorderSeesEveryTransition(t *testing.T) {
 	_, _, mk := tellRetractChain(10)
 	sink := &recSink{}
-	m := mk(WithTraceCapacity[float64](2), WithRecorder[float64](sink))
+	m := mk(WithTraceCapacity[float64](2), WithRecorder(sink))
 	if _, err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRecorderSeesEveryTransition(t *testing.T) {
 	// BlevelBefore of each record equals BlevelAfter of the previous.
 	for k := 1; k < len(sink.recs); k++ {
 		if sink.recs[k].BlevelBefore != sink.recs[k-1].BlevelAfter {
-			t.Errorf("record %d blevel_before %q != previous blevel_after %q",
+			t.Errorf("record %d blevel_before %g != previous blevel_after %g",
 				k, sink.recs[k].BlevelBefore, sink.recs[k-1].BlevelAfter)
 		}
 	}

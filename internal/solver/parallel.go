@@ -312,10 +312,7 @@ func (w *wsWorker[T]) run(depth int, bound T) {
 	pl := w.sched.pl
 	w.nodes++
 	if pl.tel != nil && w.nodes%pl.telStride == 0 {
-		//lint:ignore hotpath nil-guarded telemetry record, sampled every telStride nodes
-		pl.tel.RecordSearch(journal.SearchRecord{
-			Kind: "expand", Node: w.nodes, Depth: depth, Value: pl.sr.Format(bound),
-		})
+		pl.record(journal.Expand, journal.NoReason, w.nodes, depth, bound)
 	}
 	if pl.prune {
 		ub := bound
@@ -325,15 +322,7 @@ func (w *wsWorker[T]) run(depth int, bound T) {
 		if w.dominated(ub) {
 			w.prunes++
 			if pl.tel != nil && w.prunes%pl.telStride == 0 {
-				reason := "bound"
-				if pl.lookahead {
-					reason = "lookahead-bound"
-				}
-				//lint:ignore hotpath nil-guarded telemetry record, sampled every telStride prunes
-				pl.tel.RecordSearch(journal.SearchRecord{
-					Kind: "prune", Node: w.nodes, Depth: depth,
-					Value: pl.sr.Format(ub), Reason: reason,
-				})
+				pl.record(journal.Prune, pl.pruneReason, w.nodes, depth, ub)
 			}
 			return
 		}
@@ -342,10 +331,7 @@ func (w *wsWorker[T]) run(depth int, bound T) {
 		w.blevel = pl.sr.Plus(w.blevel, bound)
 		if w.fr.offer(w.digits, bound) {
 			if pl.tel != nil {
-				//lint:ignore hotpath nil-guarded telemetry on the rare incumbent-improvement path
-				pl.tel.RecordSearch(journal.SearchRecord{
-					Kind: "incumbent", Node: w.nodes, Depth: depth, Value: pl.sr.Format(bound),
-				})
+				pl.record(journal.Incumbent, journal.NoReason, w.nodes, depth, bound)
 			}
 			w.sched.shared.offer(bound)
 			w.refreshSnap()

@@ -6,9 +6,11 @@
 # softsoa-replay — both the HTTP copy and the -journal-dir dump. A
 # second identical negotiation must then replay from the solve cache
 # (cache_hits_total > 0) and still emit a journal that replays
-# exactly. The SLO reconciler runs on a fast sweep so the slo_*
-# families and the /v1/debug/slo snapshot are asserted too. Exits
-# non-zero on any miss.
+# exactly. The HTTP ?format=jsonl copy and the -journal-dir dump of
+# the first negotiation and of one composition must be the same bytes.
+# The SLO reconciler runs on a fast sweep so the slo_* families and
+# the /v1/debug/slo snapshot are asserted too. Exits non-zero on any
+# miss.
 set -eu
 
 ADDR=127.0.0.1:18700
@@ -18,6 +20,8 @@ BIN=$WORK/brokerd
 REPLAY=$WORK/softsoa-replay
 JOURNALS=$WORK/journals
 METRICS=$(mktemp)
+HTTPCOPY=$WORK/http.jsonl
+HEADERS=$WORK/headers
 
 # Stop brokerd and wait for its drain to finish before deleting the
 # binary it runs from, so no brokerd outlives the script.
@@ -102,6 +106,27 @@ if [ ! -f "$JOURNALS/$SLA_ID.jsonl" ]; then
     exit 1
 fi
 "$REPLAY" -q "$JOURNALS/$SLA_ID.jsonl"
+# Both copies render from the same recorded values: same bytes.
+curl -fsS "http://$ADDR/v1/negotiations/$SLA_ID/journal?format=jsonl" >"$HTTPCOPY"
+if ! cmp "$HTTPCOPY" "$JOURNALS/$SLA_ID.jsonl"; then
+    echo "obs-smoke: HTTP and -journal-dir copies of $SLA_ID differ" >&2
+    exit 1
+fi
+
+# A composition journals solver telemetry; its two copies must match
+# byte for byte too.
+curl -fsS -D "$HEADERS" -X POST "http://$ADDR/v1/compositions" -d \
+    '<compose client="shop" metric="cost"><stage>failmgmt</stage></compose>' >/dev/null
+COMP_ID=$(tr -d '\r' <"$HEADERS" | sed -n 's/^[Xx]-[Ss]oftsoa-[Jj]ournal: *//p')
+if [ -z "$COMP_ID" ] || [ ! -f "$JOURNALS/$COMP_ID.jsonl" ]; then
+    echo "obs-smoke: composition journal ${COMP_ID:-?} was not dumped" >&2
+    exit 1
+fi
+curl -fsS "http://$ADDR/v1/negotiations/$COMP_ID/journal?format=jsonl" >"$HTTPCOPY"
+if ! cmp "$HTTPCOPY" "$JOURNALS/$COMP_ID.jsonl"; then
+    echo "obs-smoke: HTTP and -journal-dir copies of $COMP_ID differ" >&2
+    exit 1
+fi
 
 # A second identical negotiation replays the memoised plan. Its
 # journal must still replay exactly, and the cache families must
@@ -135,4 +160,4 @@ if [ -n "${OBS_SMOKE_ARTIFACTS:-}" ]; then
     cp "$JOURNALS"/*.jsonl "$OBS_SMOKE_ARTIFACTS"/
 fi
 
-echo "obs-smoke: ok ($(grep -c '^# TYPE' "$METRICS") metric families, journal $SLA_ID replayed)"
+echo "obs-smoke: ok ($(grep -c '^# TYPE' "$METRICS") metric families, journal $SLA_ID replayed, $SLA_ID and $COMP_ID byte-identical over HTTP and -journal-dir)"
