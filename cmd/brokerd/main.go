@@ -16,8 +16,7 @@
 // Usage:
 //
 //	brokerd [-addr :8700] [-ops-addr :8701] [-link-cost 5] [-link-factor 0.96] \
-//	        [-capabilities http-auth,gzip,tls13] [-solver-workers N] \
-//	        [-log-json] [-log-level info] [-journal-dir journals/] \
+//	        [-capabilities http-auth,gzip,tls13] [-log-json] [-log-level info] [-journal-dir journals/] \
 //	        [-state-dir state/] [-snapshot-every 256] \
 //	        [-max-inflight 64] [-admission-queue 128] [-drain-deadline 10s] \
 //	        [-failover] [-failover-rate 0.5] [-failover-min-obs 3] \
@@ -89,8 +88,6 @@ func main() {
 		"violation rate (violations/observations) over -slo-fast-window above which an SLA is at risk and fails over")
 	failoverMinObs := flag.Int64("failover-min-obs", 3,
 		"minimum observations over -slo-fast-window before an SLA can be at risk and fail over")
-	solverWorkers := flag.Int("solver-workers", 0,
-		"work-stealing workers for composition branch-and-bound (0 = all CPUs, 1 = sequential)")
 	solveCache := flag.Int("solve-cache", 4096,
 		"entries in the content-addressed solve cache serving repeat negotiations and renegotiations (0 disables)")
 	logJSON := flag.Bool("log-json", false, "emit JSON log lines instead of text")
@@ -144,7 +141,6 @@ func main() {
 			FailureThreshold: *breakerThreshold,
 			OpenTimeout:      *breakerOpen,
 		}),
-		broker.WithSolverWorkers(*solverWorkers),
 		broker.WithSolveCache(cache.New(*solveCache)),
 		broker.WithLogger(logger),
 		broker.WithJournalRetention(*journalRetention),

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"softsoa/internal/core"
+	"softsoa/internal/obs/journal"
 	"softsoa/internal/policy"
 	"softsoa/internal/semiring"
 	"softsoa/internal/soa"
@@ -66,18 +67,10 @@ type Composition struct {
 	Choices []StageChoice
 	// Total is the end-to-end level including link penalties.
 	Total float64
-	// Nodes counts search nodes explored.
+	// Nodes counts the work done: chain-pass cells for Compose,
+	// search nodes for the exhaustive baseline, scored candidates for
+	// the greedy one.
 	Nodes int64
-	// Prunes counts subtrees cut by the branch-and-bound bound
-	// (0 for the greedy and exhaustive baselines).
-	Prunes int64
-	// Tasks counts the subtree tasks the parallel work-stealing
-	// driver scheduled (0 for sequential solves and the baselines).
-	Tasks int64
-	// Steals counts tasks taken from another worker's deque.
-	Steals int64
-	// Splits counts subtree splits spilled on steal demand.
-	Splits int64
 	// Elapsed is the solve time.
 	Elapsed time.Duration
 }
@@ -98,11 +91,10 @@ var DefaultLinkPenalty = LinkPenalty{Cost: 5, Factor: 0.96}
 
 // Composer solves pipeline compositions over a registry.
 type Composer struct {
-	reg        *soa.Registry
-	penalty    LinkPenalty
-	vocab      *policy.Vocabulary
-	filter     ProviderFilter
-	solverOpts []solver.Option
+	reg     *soa.Registry
+	penalty LinkPenalty
+	vocab   *policy.Vocabulary
+	filter  ProviderFilter
 }
 
 // ComposerOption configures a Composer.
@@ -122,14 +114,6 @@ func WithComposerProviderFilter(f ProviderFilter) ComposerOption {
 	return func(c *Composer) { c.filter = f }
 }
 
-// WithSolverOptions threads extra solver options (typically
-// solver.WithWorkers) into every branch-and-bound composition. The
-// options apply to Compose and ComposeMultiObjective; the greedy and
-// exhaustive baselines ignore them.
-func WithSolverOptions(opts ...solver.Option) ComposerOption {
-	return func(c *Composer) { c.solverOpts = append(c.solverOpts, opts...) }
-}
-
 // NewComposer returns a composer with the given link penalty.
 func NewComposer(reg *soa.Registry, penalty LinkPenalty, opts ...ComposerOption) *Composer {
 	c := &Composer{reg: reg, penalty: penalty}
@@ -147,7 +131,7 @@ type candidate struct {
 	level    float64
 }
 
-func (c *Composer) candidates(sr semiring.Semiring[float64], req PipelineRequest, stage string) ([]candidate, error) {
+func (c *Composer) candidates(req PipelineRequest, stage string) ([]candidate, error) {
 	metric := req.Metric
 	hasPolicy := len(req.Capabilities.Must) > 0 || len(req.Capabilities.May) > 0
 	if hasPolicy && c.vocab == nil {
@@ -174,17 +158,11 @@ func (c *Composer) candidates(sr semiring.Semiring[float64], req PipelineRequest
 				continue
 			}
 		}
-		space := core.NewSpace[float64](sr)
-		res := space.AddVariable(core.Variable(attr.Resource), attr.ResourceDomain())
-		con, err := attr.ToConstraint(space, res)
+		level, err := standaloneLevel(metric, attr)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, candidate{
-			provider: d.Provider,
-			region:   d.Region,
-			level:    core.Blevel(con), // best standalone level
-		})
+		out = append(out, candidate{provider: d.Provider, region: d.Region, level: level})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("broker: no providers with a %q attribute for stage %q", metric, stage)
@@ -235,46 +213,82 @@ func (c *Composer) encode(
 	return p, vars
 }
 
-// Compose solves the pipeline optimally with branch and bound and
-// returns the SLA binding every stage, or a nil SLA when no
-// composition meets the requested lower bound. Extra solver options
-// (e.g. solver.WithTelemetry for journaling the search) are appended
-// to the composer's own.
-func (c *Composer) Compose(req PipelineRequest, extra ...solver.Option) (*soa.SLA, *Composition, error) {
-	return c.compose(req, func(p *core.Problem[float64]) solver.Result[float64] {
-		opts := append(c.solveOpts(req), extra...)
-		return solver.BranchAndBound(p, opts...)
-	})
+// Compose solves the pipeline optimally and returns the SLA binding
+// every stage, or a nil SLA when no composition meets the requested
+// lower bound. The composition SCSP is a chain, so one pass over the
+// stages solves it exactly (see chain).
+func (c *Composer) Compose(req PipelineRequest) (*soa.SLA, *Composition, error) {
+	return c.composeChain(req, nil)
 }
 
-// solveOpts assembles the branch-and-bound options for a composition:
-// the configured extras (parallelism) plus soft-AC propagation to
-// tighten the unaries and seed the root bound with c∅ before the
-// search starts. Propagation is enabled only for the metrics whose
-// carrier operations are floating-point-exact — cost and downtime
-// (weighted min/+ with ÷ = −, exact on the registry's magnitudes) and
-// preference (fuzzy max/min, always exact) — so the reported Total is
-// bitwise identical to the unpropagated search. Reliability rides on
-// the probabilistic semiring, whose ×/÷ cost shifts round, so it
-// searches unseeded rather than risk an ulp-different agreement level.
-func (c *Composer) solveOpts(req PipelineRequest) []solver.Option {
-	opts := append([]solver.Option(nil), c.solverOpts...)
-	if req.Metric != soa.MetricReliability {
-		opts = append(opts, solver.WithPropagation(0))
-	}
-	return opts
+// composeChain is Compose, journaling one solver event per bound
+// stage into j when it is non-nil: depth is the number of stages
+// bound, the value the binding's prefix level.
+func (c *Composer) composeChain(req PipelineRequest, j *journal.Journal) (*soa.SLA, *Composition, error) {
+	return c.compose(req, func(sr semiring.Semiring[float64], cands [][]candidate) ([]int, float64, int64) {
+		ch := &chain{sr: sr, cands: cands, link: c.linkValue(req.Metric)}
+		picks, prefix := ch.solve()
+		if picks == nil {
+			return nil, 0, ch.cells
+		}
+		if j != nil {
+			for i, v := range prefix {
+				j.RecordSearch(journal.Search{Kind: journal.Stage, Depth: int32(i + 1), Value: v})
+			}
+		}
+		return picks, prefix[len(prefix)-1], ch.cells
+	})
 }
 
 // ComposeExhaustive solves by full enumeration (the reference).
 func (c *Composer) ComposeExhaustive(req PipelineRequest) (*soa.SLA, *Composition, error) {
-	return c.compose(req, func(p *core.Problem[float64]) solver.Result[float64] {
-		return solver.Exhaustive(p)
+	return c.compose(req, func(sr semiring.Semiring[float64], cands [][]candidate) ([]int, float64, int64) {
+		p, vars := c.encode(sr, req, cands)
+		res := solver.Exhaustive(p)
+		if len(res.Best) == 0 {
+			return nil, 0, res.Stats.Nodes
+		}
+		picks := make([]int, len(vars))
+		for i, v := range vars {
+			picks[i] = int(res.Best[0].Assignment.Num(v))
+		}
+		return picks, res.Best[0].Value, res.Stats.Nodes
 	})
 }
 
+// ComposeGreedy is the baseline: it binds stages left to right,
+// locally maximising the candidate level combined with the link
+// penalty to the previously chosen stage. Fast, but blind to
+// downstream penalties — experiment E11 quantifies the quality gap.
+func (c *Composer) ComposeGreedy(req PipelineRequest) (*soa.SLA, *Composition, error) {
+	return c.compose(req, func(sr semiring.Semiring[float64], cands [][]candidate) ([]int, float64, int64) {
+		var scored int64
+		picks := make([]int, len(cands))
+		total := sr.One()
+		for i, cs := range cands {
+			bestScore := sr.Zero()
+			for j, cand := range cs {
+				scored++
+				score := cand.level
+				if i > 0 && cand.region != cands[i-1][picks[i-1]].region {
+					score = sr.Times(score, c.linkValue(req.Metric))
+				}
+				if j == 0 || semiring.Gt(sr, score, bestScore) {
+					bestScore, picks[i] = score, j
+				}
+			}
+			total = sr.Times(total, bestScore)
+		}
+		return picks, total, scored
+	})
+}
+
+// compose validates the request, gathers every stage's candidates and
+// runs solve, which returns the chosen candidate of every stage (nil
+// when no binding is consistent), their total and the work it did.
 func (c *Composer) compose(
 	req PipelineRequest,
-	solve func(*core.Problem[float64]) solver.Result[float64],
+	solve func(semiring.Semiring[float64], [][]candidate) (picks []int, total float64, work int64),
 ) (*soa.SLA, *Composition, error) {
 	if err := req.Validate(); err != nil {
 		return nil, nil, err
@@ -285,29 +299,18 @@ func (c *Composer) compose(
 	}
 	cands := make([][]candidate, len(req.Stages))
 	for i, stage := range req.Stages {
-		cs, err := c.candidates(sr, req, stage)
-		if err != nil {
+		if cands[i], err = c.candidates(req, stage); err != nil {
 			return nil, nil, err
 		}
-		cands[i] = cs
 	}
-	p, vars := c.encode(sr, req, cands)
-	res := solve(p)
-	comp := &Composition{
-		Nodes:   res.Stats.Nodes,
-		Prunes:  res.Stats.Prunes,
-		Tasks:   res.Stats.Tasks,
-		Steals:  res.Stats.Steals,
-		Splits:  res.Stats.Splits,
-		Elapsed: res.Stats.Elapsed,
-	}
-	if len(res.Best) == 0 {
+	start := time.Now()
+	picks, total, work := solve(sr, cands)
+	comp := &Composition{Total: total, Nodes: work, Elapsed: time.Since(start)}
+	if picks == nil {
 		return nil, comp, nil
 	}
-	best := res.Best[0]
-	comp.Total = best.Value
-	for i, v := range vars {
-		cand := cands[i][int(best.Assignment.Num(v))]
+	for i, k := range picks {
+		cand := cands[i][k]
 		comp.Choices = append(comp.Choices, StageChoice{
 			Service:  req.Stages[i],
 			Provider: cand.provider,
@@ -321,59 +324,7 @@ func (c *Composer) compose(
 	return compositionSLA(req, comp), comp, nil
 }
 
-// ComposeGreedy is the baseline: it binds stages left to right,
-// locally maximising the candidate level combined with the link
-// penalty to the previously chosen stage. Fast, but blind to
-// downstream penalties — experiment E11 quantifies the quality gap.
-func (c *Composer) ComposeGreedy(req PipelineRequest) (*soa.SLA, *Composition, error) {
-	if err := req.Validate(); err != nil {
-		return nil, nil, err
-	}
-	sr, err := soa.SemiringFor(req.Metric)
-	if err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	comp := &Composition{}
-	total := sr.One()
-	prevRegion := ""
-	for i, stage := range req.Stages {
-		cs, err := c.candidates(sr, req, stage)
-		if err != nil {
-			return nil, nil, err
-		}
-		bestScore := sr.Zero()
-		bestIdx := -1
-		for j, cand := range cs {
-			comp.Nodes++
-			score := cand.level
-			if i > 0 && cand.region != prevRegion {
-				score = sr.Times(score, c.linkValue(sr, req.Metric))
-			}
-			if bestIdx < 0 || semiring.Gt(sr, score, bestScore) {
-				bestScore = score
-				bestIdx = j
-			}
-		}
-		cand := cs[bestIdx]
-		total = sr.Times(total, bestScore)
-		prevRegion = cand.region
-		comp.Choices = append(comp.Choices, StageChoice{
-			Service:  stage,
-			Provider: cand.provider,
-			Level:    cand.level,
-			Region:   cand.region,
-		})
-	}
-	comp.Total = total
-	comp.Elapsed = time.Since(start)
-	if req.Lower != nil && semiring.Lt(sr, comp.Total, *req.Lower) {
-		return nil, comp, nil
-	}
-	return compositionSLA(req, comp), comp, nil
-}
-
-func (c *Composer) linkValue(sr semiring.Semiring[float64], m soa.Metric) float64 {
+func (c *Composer) linkValue(m soa.Metric) float64 {
 	if m == soa.MetricCost || m == soa.MetricDowntime {
 		return c.penalty.Cost
 	}

@@ -30,8 +30,8 @@
 // the response, and records the pipeline stages — parse, per-provider
 // c∅ precheck, nmsccp run, SLA commit — as spans in a ring buffer
 // served by GET /v1/debug/traces. Metrics cover per-route HTTP
-// traffic, negotiation outcomes and agreed levels, solver search
-// statistics, breaker transitions, live SLAs, observations and
+// traffic, negotiation outcomes and agreed levels, composition solve
+// work and time, breaker transitions, live SLAs, observations and
 // failovers; see the README's Observability section for the
 // catalogue.
 //
@@ -41,18 +41,16 @@
 // constructed value, named With<Thing> on the type they configure:
 //
 //   - NewServer:     ServerOption     (WithServerVocabulary, WithBreaker,
-//     WithFailover, WithRequestTimeout, WithSolverWorkers,
-//     WithMetricsRegistry, WithTraceCapacity, WithSolveCache)
+//     WithFailover, WithRequestTimeout, WithMetricsRegistry,
+//     WithTraceCapacity, WithSolveCache)
 //   - NewNegotiator: NegotiatorOption (WithVocabulary, WithProviderFilter,
 //     WithNegotiatorSolveCache)
 //   - NewComposer:   ComposerOption   (WithComposerVocabulary,
-//     WithComposerProviderFilter, WithSolverOptions)
+//     WithComposerProviderFilter)
 //   - NewClient:     ClientOption     (WithRetry, WithClientTimeout)
 //
 // Options are applied in order, later options overriding earlier
-// ones; the zero configuration is always valid. Options that forward
-// a whole option set to a subordinate component are named
-// With<Component>Options (WithSolverOptions).
+// ones; the zero configuration is always valid.
 //
 // # Solve cache
 //
@@ -64,7 +62,7 @@
 // re-running the transition machine — sessions share renegotiation
 // plans under history-derived keys, and the c∅ precheck reads
 // propagation fixpoints through the cache. Compositions are solved
-// afresh per request, one SCSP each. Cached outcomes are bitwise
+// afresh per request, one chain pass each. Cached outcomes are bitwise
 // those of the cold runs; error outcomes are never cached. Hit rates
 // are exported as the cache_* metric families on /v1/metrics.
 package broker

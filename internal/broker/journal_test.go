@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -543,5 +544,79 @@ func BenchmarkRenegotiationJournalSink(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestCompositionJournalOneEventPerStage: over HTTP, twenty cost and
+// reliability compositions of ten stages over twelve providers in
+// three regions drop no journal events. Each composition journal
+// holds one stage event per pipeline stage, in order, and the last
+// one carries the composed level of its segment.
+func TestCompositionJournalOneEventPerStage(t *testing.T) {
+	srv := NewServer(DefaultLinkPenalty)
+	ts, client := serveForTest(t, srv)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(3))
+	const stages, providers = 10, 12
+	var names []string
+	for s := 0; s < stages; s++ {
+		names = append(names, fmt.Sprintf("st%d", s))
+		for p := 0; p < providers; p++ {
+			if err := client.Publish(ctx, &soa.Document{
+				Service: names[s], Provider: fmt.Sprintf("st%d-p%d", s, p),
+				Region: []string{"eu", "us", "ap"}[rng.Intn(3)],
+				Attributes: []soa.Attribute{
+					{Name: "fee", Metric: soa.MetricCost, Base: float64(4+rng.Intn(200)) / 4,
+						PerUnit: float64(rng.Intn(5)) / 4, Resource: "units", MaxUnits: 3},
+					{Name: "uptime", Metric: soa.MetricReliability, Base: float64(9000+rng.Intn(1000)) / 100,
+						PerUnit: float64(rng.Intn(6)) / 100, Resource: "units", MaxUnits: 3},
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		metric := []soa.Metric{soa.MetricCost, soa.MetricReliability}[i%2]
+		perm := rng.Perm(stages)
+		req := ComposeRequest{Client: "shop", Metric: metric}
+		for _, s := range perm {
+			req.Stages = append(req.Stages, names[s])
+		}
+		if _, err := client.Compose(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv.mu.Lock()
+	ids := append([]string(nil), srv.journalIDs...)
+	srv.mu.Unlock()
+	if len(ids) != 20 {
+		t.Fatalf("retained %d journals, want 20", len(ids))
+	}
+	for _, id := range ids {
+		j, err := client.Journal(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Dropped() != 0 {
+			t.Errorf("%s dropped %d events", id, j.Dropped())
+		}
+		evs := j.Events()
+		if len(evs) != stages {
+			t.Fatalf("%s holds %d events, want one per stage (%d)", id, len(evs), stages)
+		}
+		for k, ev := range evs {
+			if ev.Search == nil || ev.Search.Kind != "stage" || ev.Search.Depth != k+1 {
+				t.Fatalf("%s event %d = %+v, want stage event at depth %d", id, k, ev, k+1)
+			}
+		}
+		if got, want := evs[stages-1].Search.Value, j.Segments()[0].FinalBlevel; got != want {
+			t.Errorf("%s last stage level %s, segment final_blevel %s", id, got, want)
+		}
+	}
+	_, body := get(t, ts, "/v1/metrics")
+	if !strings.Contains(body, "\njournal_events_dropped_total 0\n") {
+		t.Errorf("journal_events_dropped_total is not 0:\n%s", body)
 	}
 }

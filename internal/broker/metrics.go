@@ -29,10 +29,6 @@ type brokerMetrics struct {
 
 	solves        *obs.CounterVec // by mode: optimal / greedy
 	solverNodes   *obs.Counter
-	solverPrunes  *obs.Counter
-	solverTasks   *obs.Counter
-	solverSteals  *obs.Counter
-	solverSplits  *obs.Counter
 	solverSeconds *obs.Histogram
 
 	breakerState       *obs.GaugeVec   // by provider
@@ -82,15 +78,7 @@ func newBrokerMetrics(reg *obs.Registry) *brokerMetrics {
 			"Composition solves, by algorithm.",
 			"mode"),
 		solverNodes: reg.Counter("broker_solver_nodes_total",
-			"Search nodes expanded by composition solves."),
-		solverPrunes: reg.Counter("broker_solver_prunes_total",
-			"Subtrees pruned by the branch-and-bound bound in composition solves."),
-		solverTasks: reg.Counter("broker_solver_tasks_total",
-			"Parallel subtree tasks executed by composition solves."),
-		solverSteals: reg.Counter("broker_solver_steals_total",
-			"Subtree tasks stolen between workers in composition solves."),
-		solverSplits: reg.Counter("broker_solver_splits_total",
-			"Subtree splits spilled on steal demand in composition solves."),
+			"Work done by composition solves: chain-pass cells (optimal) or scored candidates (greedy)."),
 		solverSeconds: reg.Histogram("broker_solver_seconds",
 			"Wall-clock composition solve time in seconds.", nil),
 		journalDropped: reg.Counter("journal_events_dropped_total",
@@ -126,17 +114,13 @@ func newBrokerMetrics(reg *obs.Registry) *brokerMetrics {
 	}
 }
 
-// observeSolve records one composition solve's search statistics.
+// observeSolve records one composition solve's work and time.
 func (m *brokerMetrics) observeSolve(mode string, comp *Composition) {
 	m.solves.With(mode).Inc()
 	if comp == nil {
 		return
 	}
 	m.solverNodes.Add(comp.Nodes)
-	m.solverPrunes.Add(comp.Prunes)
-	m.solverTasks.Add(comp.Tasks)
-	m.solverSteals.Add(comp.Steals)
-	m.solverSplits.Add(comp.Splits)
 	m.solverSeconds.Observe(comp.Elapsed.Seconds())
 }
 

@@ -127,14 +127,9 @@ func (c *Composer) ComposeMultiObjective(req PipelineRequest) ([]MultiCompositio
 		}))
 	}
 
-	// Parallelism from WithSolverOptions is honoured; propagation is
-	// not added here because the probabilistic component of the product
-	// carrier makes cost shifting inexact. Note the Pareto cap: with
-	// more than 64 pairwise-incomparable compositions the parallel
-	// merge may keep a different (equally nondominated) subset than the
-	// sequential search — see solver.WithWorkers.
-	res := solver.BranchAndBound(p,
-		append([]solver.Option{solver.WithMaxBest(64)}, c.solverOpts...)...)
+	// Propagation is not added here because the probabilistic
+	// component of the product carrier makes cost shifting inexact.
+	res := solver.BranchAndBound(p, solver.WithMaxBest(64))
 	out := make([]MultiComposition, 0, len(res.Best))
 	for _, sol := range res.Best {
 		mc := MultiComposition{

@@ -20,7 +20,6 @@ import (
 	"softsoa/internal/policy"
 	"softsoa/internal/sccp"
 	"softsoa/internal/soa"
-	"softsoa/internal/solver"
 )
 
 // Wire formats. The paper assumes SOAP messages extended with QoS
@@ -49,7 +48,7 @@ type ComposeRequest struct {
 	Client  string     `xml:"client,attr"`
 	Metric  soa.Metric `xml:"metric,attr"`
 	// Greedy selects the baseline algorithm instead of the optimal
-	// branch-and-bound composition.
+	// composition.
 	Greedy bool     `xml:"greedy,attr,omitempty"`
 	Stages []string `xml:"stage"`
 	Lower  *float64 `xml:"lower,omitempty"`
@@ -215,8 +214,6 @@ type serverConfig struct {
 	breaker          BreakerConfig
 	failover         FailoverPolicy
 	timeout          time.Duration
-	solverWorkers    int
-	solverWorkersSet bool
 	metrics          *obs.Registry
 	traceCap         int
 	logger           *slog.Logger
@@ -233,10 +230,6 @@ type serverConfig struct {
 // defaultSolveCacheSize is the entry capacity of the solve cache a
 // server creates when WithSolveCache is not used.
 const defaultSolveCacheSize = 4096
-
-// solverTelemetryStride samples every n-th solver search event into
-// composition journals.
-const solverTelemetryStride = 64
 
 // WithServerVocabulary equips the broker daemon with a capability
 // vocabulary, enabling MUST/MAY capability policies on the wire.
@@ -262,20 +255,12 @@ func WithRequestTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.timeout = d }
 }
 
-// WithSolverWorkers runs the composer's branch-and-bound searches on
-// n work-stealing workers. 0 resolves to runtime.GOMAXPROCS(0) at
-// solve time; 1 is the sequential path (the default when the option
-// is omitted). Results are unchanged — see solver.WithWorkers for the
-// determinism guarantee — only the wall-clock of /compose requests
-// and the steal/split counters on /v1/metrics.
+// WithSolverWorkers has no effect: compositions are solved by one
+// sequential chain pass, which needs no worker pool.
+//
+// Deprecated: remove the call.
 func WithSolverWorkers(n int) ServerOption {
-	return func(c *serverConfig) {
-		if n < 0 {
-			n = 0
-		}
-		c.solverWorkers = n
-		c.solverWorkersSet = true
-	}
+	return func(*serverConfig) {}
 }
 
 // WithMetricsRegistry shares an existing metrics registry with the
@@ -426,9 +411,6 @@ func NewServer(penalty LinkPenalty, opts ...ServerOption) *Server {
 		registerCacheMetrics(cfg.metrics, cfg.solveCache)
 	}
 	s.negotiator = NewNegotiator(reg, negOpts...)
-	if cfg.solverWorkersSet && cfg.solverWorkers != 1 {
-		composerOpts = append(composerOpts, WithSolverOptions(solver.WithWorkers(cfg.solverWorkers)))
-	}
 	s.composer = NewComposer(reg, penalty, composerOpts...)
 	s.slo = brokerslo.New(brokerslo.Config{
 		Source:        s,
@@ -892,9 +874,9 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		comp *Composition
 		err  error
 	)
-	// Compositions journal the solver's search telemetry (sampled
-	// node expansions, incumbents, prunes) rather than machine
-	// transitions; the segment is evidence, not a replayable program.
+	// Compositions journal one solver event per bound stage rather
+	// than machine transitions; the segment is evidence, not a
+	// replayable program.
 	j := s.newJournal(ctx, "composition")
 	if sr, err := soa.SemiringFor(req.Metric); err == nil {
 		j.SetFormat(sr.Format)
@@ -909,7 +891,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		mode = "greedy"
 		sla, comp, err = s.composer.ComposeGreedy(req)
 	} else {
-		sla, comp, err = s.composer.Compose(req, solver.WithTelemetry(j, solverTelemetryStride))
+		sla, comp, err = s.composer.composeChain(req, j)
 	}
 	solve.End()
 	if err != nil {

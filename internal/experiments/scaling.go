@@ -80,7 +80,7 @@ func runE10() ([]Check, []string) {
 // pipeline lengths.
 func runE11() ([]Check, []string) {
 	var cs []Check
-	notes := []string{"stages providers |  optimal  greedy  (gap %)  | opt nodes"}
+	notes := []string{"stages providers |  optimal  greedy  (gap %)  | opt cells"}
 	for _, stages := range []int{2, 4, 6} {
 		reg := soa.NewRegistry()
 		params := workload.CatalogParams{

@@ -2,8 +2,8 @@
 // structured event stream capturing what the nmsccp machine and the
 // solver actually did — not how long it took (that is internal/obs's
 // job), but which transition rules fired, on which agents, with which
-// store deltas and consistency levels, and how the branch-and-bound
-// search moved its incumbent.
+// store deltas and consistency levels, and which provider a
+// composition bound at each stage.
 //
 // The paper's evaluation is entirely semantic: Examples 1-3 of Fig. 7
 // are exact rule sequences with exact blevels. A journal makes the
@@ -16,9 +16,9 @@
 // makes cmd/softsoa-replay's golden-fixture verification possible.
 //
 // The package sits below the pure layers on purpose: it defines only
-// plain record types and the Recorder/SearchRecorder interfaces, and
-// imports no other softsoa package, so internal/sccp and
-// internal/solver can emit events without the journal pulling
+// plain record types and the Recorder interface, and imports no
+// other softsoa package, so internal/sccp can emit events without
+// the journal pulling
 // effectful dependencies into the pure import closure (the
 // determinism analyzer admits exactly this package there).
 //

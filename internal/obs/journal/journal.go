@@ -84,21 +84,20 @@ type Recorder interface {
 	RecordTransition(Transition)
 }
 
-// SearchRecord is one sampled solver search event in wire form.
+// SearchRecord is one solver event in wire form.
 type SearchRecord struct {
-	// Kind is "expand", "incumbent", "prune" or "propagate".
+	// Kind is "stage" or "propagate".
 	Kind string `json:"kind"`
-	// Node is the emitting searcher's node counter (per worker under
-	// solver.WithWorkers, so numbers are per-worker-local there).
+	// Node is a search node number. Only journals written by older
+	// brokers carry it; it is kept so they read back unchanged.
 	Node int64 `json:"node,omitempty"`
-	// Depth is the search depth at the event.
+	// Depth is the number of stages bound at a stage event.
 	Depth int `json:"depth,omitempty"`
-	// Value carries the event's semiring value (the bound at an
-	// expansion, the incumbent's level, a propagated c∅), rendered by
-	// the journal's semiring format.
+	// Value carries the event's semiring value (a composition
+	// prefix's level, a propagated c∅), rendered by the journal's
+	// semiring format.
 	Value string `json:"value,omitempty"`
-	// Reason qualifies prunes ("bound", "lookahead-bound") and
-	// propagate verdicts ("viable", "doomed").
+	// Reason qualifies propagate verdicts ("viable", "doomed").
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -107,13 +106,11 @@ type SearchKind uint8
 
 // The solver event kinds.
 const (
-	Expand SearchKind = iota
-	Prune
-	Incumbent
+	Stage SearchKind = iota
 	Propagate
 )
 
-var searchKinds = [...]string{Expand: "expand", Prune: "prune", Incumbent: "incumbent", Propagate: "propagate"}
+var searchKinds = [...]string{Stage: "stage", Propagate: "propagate"}
 
 // String returns the kind's wire name.
 func (k SearchKind) String() string {
@@ -123,19 +120,17 @@ func (k SearchKind) String() string {
 	return "SearchKind(" + strconv.Itoa(int(k)) + ")"
 }
 
-// SearchReason qualifies a prune or a propagate verdict.
+// SearchReason qualifies a propagate verdict.
 type SearchReason uint8
 
 // The reasons; NoReason renders as an absent field.
 const (
 	NoReason SearchReason = iota
-	Bound
-	LookaheadBound
 	Viable
 	Doomed
 )
 
-var searchReasons = [...]string{NoReason: "", Bound: "bound", LookaheadBound: "lookahead-bound", Viable: "viable", Doomed: "doomed"}
+var searchReasons = [...]string{NoReason: "", Viable: "viable", Doomed: "doomed"}
 
 // String returns the reason's wire name ("" for NoReason).
 func (r SearchReason) String() string {
@@ -145,14 +140,13 @@ func (r SearchReason) String() string {
 	return "SearchReason(" + strconv.Itoa(int(r)) + ")"
 }
 
-// Search is one sampled solver event as the searcher hands it over:
-// pointer-free, so a journal stores it by value and the search loop
+// Search is one solver event as the solver hands it over:
+// pointer-free, so a journal stores it by value and the solver
 // formats nothing.
 type Search struct {
 	Kind   SearchKind
 	Reason SearchReason
 	Depth  int32
-	Node   int64
 	// Value is the event's raw semiring value.
 	Value float64
 }
@@ -160,14 +154,9 @@ type Search struct {
 // Render returns the event in wire form.
 func (s Search) Render(format func(float64) string) SearchRecord {
 	return SearchRecord{
-		Kind: s.Kind.String(), Node: s.Node, Depth: int(s.Depth),
+		Kind: s.Kind.String(), Depth: int(s.Depth),
 		Value: format(s.Value), Reason: s.Reason.String(),
 	}
-}
-
-// SearchRecorder receives solver search telemetry.
-type SearchRecorder interface {
-	RecordSearch(Search)
 }
 
 // Meta identifies a journal.
@@ -250,8 +239,9 @@ type Carrier interface {
 }
 
 // Journal is a bounded, concurrency-safe flight-recorder stream. It
-// implements both Recorder and SearchRecorder so one journal can
-// capture a negotiation's machine runs and its solver phases.
+// implements Recorder and takes solver events (RecordSearch), so one
+// journal can capture a negotiation's machine runs and its solver
+// phases.
 //
 // A journal keeps the values it is given — raw float64 levels,
 // constraint references, captured program inputs — and renders text
@@ -474,7 +464,7 @@ func (j *Journal) RecordTransition(t Transition) {
 	j.push(entry{kind: transitionEntry, ref: ref})
 }
 
-// RecordSearch implements SearchRecorder.
+// RecordSearch records one solver event.
 func (j *Journal) RecordSearch(s Search) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -101,7 +101,7 @@ func TestSegments(t *testing.T) {
 
 	b := j.BeginSegment(Segment{Label: "b"})
 	j.NoteSegment("second run")
-	j.RecordSearch(Search{Kind: Expand, Node: 10})
+	j.RecordSearch(Search{Kind: Stage, Depth: 1})
 	j.EndSegment("stuck", "", "")
 
 	if a != 0 || b != 1 {
@@ -136,7 +136,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		Step: 1, Rule: "R1 Tell", Agent: "tell(c)→ success",
 		Delta: text("c(x){⟨0⟩→0}"), BlevelAfter: 2, Consistent: true,
 	})
-	j.RecordSearch(Search{Kind: Incumbent, Node: 4, Value: 2.5})
+	j.RecordSearch(Search{Kind: Stage, Depth: 4, Value: 2.5})
 	j.EndRun("succeeded", text("c(x){⟨0⟩→0}"), 2)
 	j.AddDropped(3)
 
@@ -196,7 +196,7 @@ func TestDeferredRendering(t *testing.T) {
 	j.SetSemiring(carrier{calls: &calls})
 	j.BeginRun(Segment{Label: "renegotiate:p", Seed: 1, Fuel: 50}, program{src: "main :: success.", setup: 4})
 	j.RecordTransition(Transition{Step: 1, Rule: "R7 Retract", Delta: text("c"), Check: text("→[a1=4]"), BlevelBefore: 1, BlevelAfter: 0.5})
-	j.RecordSearch(Search{Kind: Prune, Reason: LookaheadBound, Depth: 3, Node: 7, Value: 1.25})
+	j.RecordSearch(Search{Kind: Propagate, Reason: Doomed, Value: 1.25})
 	j.EndRun("succeeded", text("σ"), 0.5)
 	if calls != 0 {
 		t.Fatalf("recording formatted %d values", calls)
@@ -216,8 +216,8 @@ func TestDeferredRendering(t *testing.T) {
 		Check: "→[a1=4]", BlevelBefore: "1.00", BlevelAfter: "0.50"}); got != want {
 		t.Errorf("transition = %+v, want %+v", got, want)
 	}
-	if got, want := *evs[1].Search, (SearchRecord{Kind: "prune", Node: 7, Depth: 3, Value: "1.25",
-		Reason: "lookahead-bound"}); got != want {
+	if got, want := *evs[1].Search, (SearchRecord{Kind: "propagate", Value: "1.25",
+		Reason: "doomed"}); got != want {
 		t.Errorf("search = %+v, want %+v", got, want)
 	}
 }
@@ -276,7 +276,7 @@ func TestKeptTextAcrossWrap(t *testing.T) {
 		}
 		j.RecordTransition(Transition{Step: i, Rule: "R1 Tell", Delta: text(fmt.Sprintf("c%d", i)), BlevelAfter: float64(i)})
 		if i%2 == 0 {
-			j.RecordSearch(Search{Kind: Expand, Node: int64(i), Value: float64(i)})
+			j.RecordSearch(Search{Kind: Stage, Depth: int32(i), Value: float64(i)})
 		}
 		if i%3 == 2 {
 			j.EndRun("succeeded", text(fmt.Sprintf("σ%d", i)), float64(i))
@@ -369,7 +369,7 @@ func TestRecordAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { j.RecordTransition(d) }); n != 0 {
 		t.Errorf("RecordTransition allocates %.1f times per call", n)
 	}
-	s := Search{Kind: Expand, Node: 9, Depth: 2, Value: 3}
+	s := Search{Kind: Stage, Depth: 2, Value: 3}
 	if n := testing.AllocsPerRun(200, func() { j.RecordSearch(s) }); n != 0 {
 		t.Errorf("RecordSearch allocates %.1f times per call", n)
 	}

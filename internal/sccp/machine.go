@@ -79,6 +79,7 @@ type Machine[T any] struct {
 	space *core.Space[T]
 	store *core.Store[T]
 	defs  Defs[T]
+	seed  int64
 	rng   *rand.Rand
 	root  Agent[T]
 
@@ -116,7 +117,7 @@ func WithDefs[T any](d Defs[T]) MachineOption[T] {
 
 // WithSeed seeds the interleaving scheduler (default 1).
 func WithSeed[T any](seed int64) MachineOption[T] {
-	return func(m *Machine[T]) { m.rng = rand.New(rand.NewSource(seed)) }
+	return func(m *Machine[T]) { m.seed = seed }
 }
 
 // WithStore starts execution from an existing store instead of the
@@ -165,13 +166,14 @@ func NewMachine[T any](space *core.Space[T], root Agent[T], opts ...MachineOptio
 		space:    space,
 		store:    core.NewStore(space),
 		defs:     Defs[T]{},
-		rng:      rand.New(rand.NewSource(1)),
+		seed:     1,
 		root:     root,
 		traceCap: DefaultTraceCapacity,
 	}
 	for _, o := range opts {
 		o(m)
 	}
+	m.rng = rand.New(rand.NewSource(m.seed))
 	if m.rec != nil {
 		// Baseline for the first record's BlevelBefore; with WithStore
 		// the machine may start from a non-trivial σ.

@@ -10,8 +10,8 @@
 // # Solvers
 //
 //   - Exhaustive:     enumerate every complete assignment (reference)
-//   - BranchAndBound: depth-first search with semiring bound pruning;
-//     the production solver, sequential or parallel
+//   - BranchAndBound: depth-first search with semiring bound pruning,
+//     sequential or parallel
 //   - Eliminate:      bucket (variable) elimination
 //   - LocalSearch:    random-restart hill climbing (incomplete)
 //
@@ -54,8 +54,7 @@
 //
 // Instrumentation (all solvers):
 //
-//   - WithClock:     inject the time source behind Stats.Elapsed
-//   - WithTelemetry: stream sampled search events into a recorder
+//   - WithClock: inject the time source behind Stats.Elapsed
 //
 // Options are applied in order, later options overriding earlier
 // ones; the zero configuration (sequential, pruning on, MaxBest 16)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"softsoa/internal/core"
-	"softsoa/internal/obs/journal"
 	"softsoa/internal/semiring"
 )
 
@@ -311,9 +310,6 @@ func (w *wsWorker[T]) spill(depth, from int, bound T) {
 func (w *wsWorker[T]) run(depth int, bound T) {
 	pl := w.sched.pl
 	w.nodes++
-	if pl.tel != nil && w.nodes%pl.telStride == 0 {
-		pl.record(journal.Expand, journal.NoReason, w.nodes, depth, bound)
-	}
 	if pl.prune {
 		ub := bound
 		if pl.lookahead {
@@ -321,18 +317,12 @@ func (w *wsWorker[T]) run(depth int, bound T) {
 		}
 		if w.dominated(ub) {
 			w.prunes++
-			if pl.tel != nil && w.prunes%pl.telStride == 0 {
-				pl.record(journal.Prune, pl.pruneReason, w.nodes, depth, ub)
-			}
 			return
 		}
 	}
 	if depth == pl.n {
 		w.blevel = pl.sr.Plus(w.blevel, bound)
 		if w.fr.offer(w.digits, bound) {
-			if pl.tel != nil {
-				pl.record(journal.Incumbent, journal.NoReason, w.nodes, depth, bound)
-			}
 			w.sched.shared.offer(bound)
 			w.refreshSnap()
 		}

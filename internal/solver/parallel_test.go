@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"softsoa/internal/core"
-	"softsoa/internal/obs/journal"
 	"softsoa/internal/semiring"
 	"softsoa/internal/workload"
 )
@@ -245,32 +244,24 @@ func TestBranchAndBoundInnerLoopAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without telemetry, and with every node and prune sampled into a
-	// journal: search events are values, so recording stays free once
-	// the journal's ring is full.
-	for _, tel := range []journal.SearchRecorder{nil, journal.New(64, journal.Meta{})} {
-		cfg := defaultConfig()
-		if tel != nil {
-			WithTelemetry(tel, 1)(&cfg)
+	cfg := defaultConfig()
+	pl := newPlan(p, &cfg)
+	s := newSearch(pl, newDigitFrontier[float64](pl.sr, cfg.maxBest))
+	run := func() {
+		s.blevel = pl.sr.Zero()
+		for i := range s.digits {
+			s.digits[i] = 0
 		}
-		pl := newPlan(p, &cfg)
-		s := newSearch(pl, newDigitFrontier[float64](pl.sr, cfg.maxBest))
-		run := func() {
-			s.blevel = pl.sr.Zero()
-			for i := range s.digits {
-				s.digits[i] = 0
-			}
-			s.run(0, pl.rootBound)
-		}
-		// Warm until the frontier holds its full complement of co-optimal
-		// snapshots; afterwards every offer is either dominated or blocked
-		// by the cap, and displaced-buffer recycling covers the rest.
-		for i := 0; i < 32; i++ {
-			run()
-		}
-		if avg := testing.AllocsPerRun(20, run); avg != 0 {
-			t.Fatalf("inner B&B loop (telemetry %v) allocates %v per run, want 0", tel != nil, avg)
-		}
+		s.run(0, pl.rootBound)
+	}
+	// Warm until the frontier holds its full complement of co-optimal
+	// snapshots; afterwards every offer is either dominated or blocked
+	// by the cap, and displaced-buffer recycling covers the rest.
+	for i := 0; i < 32; i++ {
+		run()
+	}
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Fatalf("inner B&B loop allocates %v per run, want 0", avg)
 	}
 }
 

@@ -1,14 +1,12 @@
 package solver
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"time"
 
 	"softsoa/internal/clock"
 	"softsoa/internal/core"
-	"softsoa/internal/obs/journal"
 	"softsoa/internal/semiring"
 )
 
@@ -80,8 +78,6 @@ type config struct {
 	steps      int
 	seed       int64
 	clock      clock.Clock
-	tel        journal.SearchRecorder
-	telStride  int64
 }
 
 func defaultConfig() config {
@@ -168,29 +164,6 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // a strict no-op.
 func WithClock(c clock.Clock) Option { return func(cf *config) { cf.clock = c } }
 
-// WithTelemetry streams sampled branch-and-bound search events into
-// rec: every stride-th node expansion and prune (stride < 1 is
-// clamped to 1), and every incumbent improvement. Events carry the
-// raw value and small enums, never text: the search loop formats
-// nothing (a journal renders on read). Journals store float64
-// values, so branch and bound over any other carrier panics when
-// given a recorder. With a nil recorder — the default — the inner
-// loop performs only nil checks and keeps its zero-allocation
-// guarantee. Under WithWorkers
-// each worker carries its own node/prune counters, so sampled node
-// numbers restart per subtree task and event order follows
-// scheduling; the search result itself stays deterministic either
-// way.
-func WithTelemetry(rec journal.SearchRecorder, stride int) Option {
-	return func(c *config) {
-		c.tel = rec
-		if stride < 1 {
-			stride = 1
-		}
-		c.telStride = int64(stride)
-	}
-}
-
 // Exhaustive enumerates every complete assignment and returns the
 // exact blevel and the frontier of non-dominated solutions. It is the
 // reference against which the other solvers are tested.
@@ -276,14 +249,6 @@ type plan[T any] struct {
 	prune          bool
 	lookahead      bool
 	maxBest        int
-	// tel/telStride sample search telemetry; a nil tel keeps the
-	// inner loop allocation-free. telLevel hands a value to the
-	// recorder as the float64 it stores; pruneReason is Bound or
-	// LookaheadBound.
-	tel         journal.SearchRecorder
-	telStride   int64
-	telLevel    func(T) float64
-	pruneReason journal.SearchReason
 }
 
 func newPlan[T any](p *core.Problem[T], cfg *config) *plan[T] {
@@ -296,17 +261,6 @@ func newPlan[T any](p *core.Problem[T], cfg *config) *plan[T] {
 	pl := &plan[T]{
 		sr: sr, ev: ev, sizes: sizes, n: n,
 		prune: cfg.prune, lookahead: cfg.lookahead, maxBest: cfg.maxBest,
-		telStride: cfg.telStride, pruneReason: journal.Bound,
-	}
-	if cfg.lookahead {
-		pl.pruneReason = journal.LookaheadBound
-	}
-	if cfg.tel != nil {
-		level, ok := any(func(v float64) float64 { return v }).(func(T) float64)
-		if !ok {
-			panic(fmt.Sprintf("solver: WithTelemetry on a %T search: journals record float64 levels", *new(T)))
-		}
-		pl.tel, pl.telLevel = cfg.tel, level
 	}
 
 	pl.perm = make([]int, n)
@@ -379,14 +333,6 @@ func newPlan[T any](p *core.Problem[T], cfg *config) *plan[T] {
 	return pl
 }
 
-// record hands one sampled search event to the telemetry recorder.
-// The event is a pointer-free value: it is copied into the recorder,
-// and nothing is formatted or allocated here.
-func (pl *plan[T]) record(kind journal.SearchKind, reason journal.SearchReason, node int64, depth int, v T) {
-	//lint:ignore hotpath a pointer-free value literal passed by value is copied, never heap-allocated
-	pl.tel.RecordSearch(journal.Search{Kind: kind, Reason: reason, Node: node, Depth: int32(depth), Value: pl.telLevel(v)})
-}
-
 // bbSearch is the sequential depth-first searcher: its digit vector,
 // capped frontier and counters. The work-stealing workers carry their
 // own twin state (see wsWorker in parallel.go).
@@ -412,9 +358,6 @@ func newSearch[T any](pl *plan[T], fr *digitFrontier[T]) *bbSearch[T] {
 func (s *bbSearch[T]) run(depth int, bound T) {
 	pl := s.pl
 	s.nodes++
-	if pl.tel != nil && s.nodes%pl.telStride == 0 {
-		pl.record(journal.Expand, journal.NoReason, s.nodes, depth, bound)
-	}
 	if pl.prune {
 		ub := bound
 		if pl.lookahead {
@@ -422,19 +365,12 @@ func (s *bbSearch[T]) run(depth int, bound T) {
 		}
 		if s.fr.dominates(ub) {
 			s.prunes++
-			if pl.tel != nil && s.prunes%pl.telStride == 0 {
-				pl.record(journal.Prune, pl.pruneReason, s.nodes, depth, ub)
-			}
 			return
 		}
 	}
 	if depth == pl.n {
 		s.blevel = pl.sr.Plus(s.blevel, bound)
-		if s.fr.offer(s.digits, bound) {
-			if pl.tel != nil {
-				pl.record(journal.Incumbent, journal.NoReason, s.nodes, depth, bound)
-			}
-		}
+		s.fr.offer(s.digits, bound)
 		return
 	}
 	vi := pl.perm[depth]

@@ -7,7 +7,9 @@
 # second identical negotiation must then replay from the solve cache
 # (cache_hits_total > 0) and still emit a journal that replays
 # exactly. The HTTP ?format=jsonl copy and the -journal-dir dump of
-# the first negotiation and of one composition must be the same bytes.
+# the first negotiation and of one three-stage composition must be
+# the same bytes, and the composition journal must hold one solver
+# event per stage and drop none.
 # The SLO reconciler runs on a fast sweep so the slo_* families and
 # the /v1/debug/slo snapshot are asserted too. Exits non-zero on any
 # miss.
@@ -113,10 +115,19 @@ if ! cmp "$HTTPCOPY" "$JOURNALS/$SLA_ID.jsonl"; then
     exit 1
 fi
 
-# A composition journals solver telemetry; its two copies must match
-# byte for byte too.
+# A composition journals one solver event per pipeline stage and
+# drops none; its two copies must match byte for byte too.
+for stage in index:eu:3 notify:us:1 notify:eu:4; do
+    svc=${stage%%:*}
+    rest=${stage#*:}
+    region=${rest%%:*}
+    base=${rest#*:}
+    curl -fsS -X POST "http://$ADDR/v1/providers" -d \
+        "<qos service=\"$svc\" provider=\"$svc-$region\" region=\"$region\"><attribute name=\"fee\" metric=\"cost\" base=\"$base\" perUnit=\"0\" resource=\"failures\" maxUnits=\"10\"></attribute></qos>" \
+        >/dev/null
+done
 curl -fsS -D "$HEADERS" -X POST "http://$ADDR/v1/compositions" -d \
-    '<compose client="shop" metric="cost"><stage>failmgmt</stage></compose>' >/dev/null
+    '<compose client="shop" metric="cost"><stage>failmgmt</stage><stage>index</stage><stage>notify</stage></compose>' >/dev/null
 COMP_ID=$(tr -d '\r' <"$HEADERS" | sed -n 's/^[Xx]-[Ss]oftsoa-[Jj]ournal: *//p')
 if [ -z "$COMP_ID" ] || [ ! -f "$JOURNALS/$COMP_ID.jsonl" ]; then
     echo "obs-smoke: composition journal ${COMP_ID:-?} was not dumped" >&2
@@ -125,6 +136,15 @@ fi
 curl -fsS "http://$ADDR/v1/negotiations/$COMP_ID/journal?format=jsonl" >"$HTTPCOPY"
 if ! cmp "$HTTPCOPY" "$JOURNALS/$COMP_ID.jsonl"; then
     echo "obs-smoke: HTTP and -journal-dir copies of $COMP_ID differ" >&2
+    exit 1
+fi
+SOLVER_LINES=$(grep -c '"t":"solver"' "$HTTPCOPY" || true)
+if [ "$SOLVER_LINES" -ne 3 ]; then
+    echo "obs-smoke: composition journal $COMP_ID has $SOLVER_LINES solver lines, want one per stage (3)" >&2
+    exit 1
+fi
+if ! grep '"t":"end"' "$HTTPCOPY" | grep -q '"dropped":0'; then
+    echo "obs-smoke: composition journal $COMP_ID dropped events" >&2
     exit 1
 fi
 
