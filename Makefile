@@ -54,8 +54,7 @@ bench-go:
 	go test -bench . -benchtime 1x -run '^$$' .
 
 # Solve-cache report: the CI-sized grid plus the cache group — cold vs
-# cached propagation fixpoints, and negotiation/renegotiation plan
-# replay. Every hot row asserts result equality with its cold partner
+# replayed negotiation/renegotiation plans. Every hot row asserts result equality with its cold partner
 # before timing and records the speedup; ratios are machine-dependent
 # snapshots.
 bench-cache:

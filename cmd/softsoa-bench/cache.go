@@ -1,10 +1,10 @@
 package main
 
 // The -cache group measures the negotiator's content-addressed solve
-// cache end to end: the propagation-fixpoint tier and full
-// negotiation / renegotiation plan replay through the broker. Every hot row solves
-// the identical input as its cold partner — equality is asserted
-// before timing — and records its speedup against the cold row.
+// cache end to end: full negotiation / renegotiation plan replay
+// through the broker. Every hot row solves the identical input as its
+// cold partner — equality is asserted before timing — and records its
+// speedup against the cold row.
 // Absolute ratios are machine-dependent: treat a committed report as
 // one machine's snapshot, not a portable constant.
 
@@ -15,42 +15,12 @@ import (
 
 	"softsoa/internal/broker"
 	"softsoa/internal/cache"
-	"softsoa/internal/core"
 	"softsoa/internal/soa"
-	"softsoa/internal/solver"
-	"softsoa/internal/workload"
 )
 
 // cacheBenches appends the cache group's entries to the report.
 func cacheBenches(rep *Report, bench func(string, func(*testing.B)) Entry) {
 	last := func() *Entry { return &rep.Entries[len(rep.Entries)-1] }
-
-	// Tier 2: the propagation fixpoint memo against a raw Propagate of
-	// the same instance. The shape is chosen so the fixpoint costs
-	// well over the content hash a hit pays: many variables, wide
-	// domains, dense tables.
-	fp := mustSCSP(workload.SCSPParams{
-		Vars: 24, DomainSize: 6, Density: 0.5, Tightness: 1, Seed: 27,
-	})
-	_, coldC0, _ := solver.Propagate(fp, 0)
-	fc := cache.New(8)
-	solver.PropagateCached(fc, fp, 0) // prime: the one miss
-	if _, hotC0, _ := solver.PropagateCached(fc, fp, 0); hotC0 != coldC0 {
-		log.Fatalf("softsoa-bench: cached fixpoint diverged: %v vs %v", hotC0, coldC0)
-	}
-	cold := bench("cache/fixpoint/cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			solver.Propagate(fp, 0)
-		}
-	})
-	h0, m0 := tierTotals(fc)
-	bench("cache/fixpoint/hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			solver.PropagateCached(fc, fp, 0)
-		}
-	})
-	last().Speedup = round3(cold.NsPerOp / last().NsPerOp)
-	last().HitRate = hitRate(fc, h0, m0)
 
 	// Negotiation through the broker: the cold negotiator has no
 	// cache and runs the full pipeline (instance build, precheck
@@ -69,12 +39,12 @@ func cacheBenches(rep *Report, bench func(string, func(*testing.B)) Entry) {
 		log.Fatalf("softsoa-bench: replayed negotiation diverged (level %v vs %v)",
 			slaHot.AgreedLevel, slaCold.AgreedLevel)
 	}
-	cold = bench("cache/negotiate/cold", func(b *testing.B) {
+	cold := bench("cache/negotiate/cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustNegotiate(ctx, nCold, req)
 		}
 	})
-	h0, m0 = tierTotals(hc)
+	h0, m0 := tierTotals(hc)
 	bench("cache/negotiate/hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustNegotiate(ctx, nHot, req)
@@ -122,9 +92,9 @@ func cacheBenches(rep *Report, bench func(string, func(*testing.B)) Entry) {
 	last().HitRate = hitRate(hc, h0, m0)
 }
 
-// tierTotals sums hits and misses across all three cache tiers.
+// tierTotals sums hits and misses across the cache tiers.
 func tierTotals(c *cache.Cache) (hits, misses int64) {
-	for _, t := range []cache.Tier{cache.TierTables, cache.TierFixpoint, cache.TierSearch} {
+	for _, t := range []cache.Tier{cache.TierTables, cache.TierSearch} {
 		st := c.TierStats(t)
 		hits += st.Hits
 		misses += st.Misses
@@ -141,15 +111,6 @@ func hitRate(c *cache.Cache, h0, m0 int64) float64 {
 		return 0
 	}
 	return round3(float64(h) / float64(h+m))
-}
-
-// mustSCSP builds a workload instance or dies.
-func mustSCSP(params workload.SCSPParams) *core.Problem[float64] {
-	p, err := workload.RandomWeightedSCSP(params)
-	if err != nil {
-		log.Fatalf("softsoa-bench: %v", err)
-	}
-	return p
 }
 
 // mustNegotiate runs one negotiation and dies on anything but an

@@ -85,7 +85,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"workers for the parallel rows (minimum 2: the sequential rows are the 1-worker reference)")
 	withCache := flag.Bool("cache", false,
-		"add the solve-cache group: cold vs cached propagation fixpoints, and negotiation/renegotiation plan replay")
+		"add the solve-cache group: cold vs replayed negotiation/renegotiation plans")
 	scaling := flag.String("scaling", "",
 		"comma-separated worker counts (e.g. 1,2,4,8): emit only the work-stealing scaling table over the workload grid")
 	flag.Parse()

@@ -44,15 +44,11 @@ var randConstructors = map[string]bool{
 // commute, so recording them cannot change a computed result — and
 // obs/journal for the same reason: a machine or solver streams
 // transition and search records into an injected recorder but never
-// reads them back — and cache, because it is a content-addressed memo
-// sink: keys are canonical hashes of the inputs and values are the
-// bit-exact results of the computation they memoise, so a cache read
-// can only skip recomputation, never change a computed result.
+// reads them back.
 var importAllowlist = map[string]bool{
 	"softsoa/internal/clock":       true,
 	"softsoa/internal/obs":         true,
 	"softsoa/internal/obs/journal": true,
-	"softsoa/internal/cache":       true,
 }
 
 // Determinism forbids ambient nondeterminism in the pure layers:

@@ -59,10 +59,11 @@
 // WithSolveCache overrides the default (nil disables). With the cache
 // on, repeat negotiations with identical content replay memoised
 // plans — emitting byte-identical flight-recorder journals without
-// re-running the transition machine — sessions share renegotiation
-// plans under history-derived keys, and the c∅ precheck reads
-// propagation fixpoints through the cache. Compositions are solved
-// afresh per request, one chain pass each. Cached outcomes are bitwise
-// those of the cold runs; error outcomes are never cached. Hit rates
-// are exported as the cache_* metric families on /v1/metrics.
+// re-running the transition machine — and sessions share
+// renegotiation plans under history-derived keys. The c∅ precheck is
+// one node-consistency fold per provider and is not cached.
+// Compositions are solved afresh per request, one chain pass each.
+// Cached outcomes are bitwise those of the cold runs; error outcomes
+// are never cached. Hit rates are exported as the cache_* metric
+// families on /v1/metrics.
 package broker

@@ -474,17 +474,16 @@ func TestJournalCapturedUnderRenegotiation(t *testing.T) {
 	}
 }
 
-// BenchmarkColdNegotiationJournaled measures one cold negotiation
-// (no solve cache) across eight providers with a journal attached,
-// the way the broker records every negotiation: two providers are
-// prechecked doomed, six run the nmsccp machine. Nothing reads the
-// journal, so with -benchmem the figures are the recorder's cost on
-// the request path.
-func BenchmarkColdNegotiationJournaled(b *testing.B) {
+// coldNegotiation is one cold negotiation (no solve cache) across
+// eight providers with a journal attached, the way the broker records
+// every negotiation: two providers are prechecked doomed, six run the
+// nmsccp machine. Nothing reads the journal, so its allocations are
+// the recorder's cost on the request path.
+func coldNegotiation(tb testing.TB) func() {
 	reg := soa.NewRegistry()
 	for i := 0; i < 8; i++ {
 		if err := reg.Publish(costDoc(fmt.Sprintf("p%d", i), "failmgmt", float64(2+3*i), float64(1+i%3), "eu")); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	n := NewNegotiator(reg)
@@ -496,13 +495,39 @@ func BenchmarkColdNegotiationJournaled(b *testing.B) {
 		},
 		Lower: fptr(22),
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		j := journal.New(journal.DefaultCapacity, journal.Meta{Kind: "negotiation"})
 		sla, _, err := n.Negotiate(journal.ContextWith(context.Background(), j), req)
 		if err != nil || sla == nil {
-			b.Fatalf("negotiation failed: %v", err)
+			tb.Fatalf("negotiation failed: %v", err)
 		}
+	}
+}
+
+// BenchmarkColdNegotiationJournaled measures coldNegotiation; with
+// -benchmem the figures are the request path's cost.
+func BenchmarkColdNegotiationJournaled(b *testing.B) {
+	negotiate := coldNegotiation(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		negotiate()
+	}
+}
+
+// coldNegotiationAllocs bounds coldNegotiation's allocations: 1 340
+// measured with the shared seed-1 scheduler stream, read-time agent
+// text and the direct c∅ fold, plus 5%.
+const coldNegotiationAllocs = 1407
+
+// TestColdNegotiationAllocs keeps the cold journaled negotiation at
+// its measured allocation count. The race detector allocates on its
+// own, so the test skips under -race.
+func TestColdNegotiationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if n := testing.AllocsPerRun(20, coldNegotiation(t)); n > coldNegotiationAllocs {
+		t.Errorf("cold journaled negotiation allocates %.0f times, ceiling %d", n, coldNegotiationAllocs)
 	}
 }
 

@@ -188,12 +188,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // registerCacheMetrics exports the solve cache's counters on the
 // registry as live families: cache_{hits,misses,evictions}_total are
-// labelled by tier (tables / fixpoint / search), and cache_entries
+// labelled by tier (tables / search), and cache_entries
 // gauges the current population. The readings come straight from the cache's atomics, so
 // every scrape sees the instantaneous truth without per-operation
 // instrument plumbing on the hot paths.
 func registerCacheMetrics(reg *obs.Registry, c *cache.Cache) {
-	tiers := []cache.Tier{cache.TierTables, cache.TierFixpoint, cache.TierSearch}
+	tiers := []cache.Tier{cache.TierTables, cache.TierSearch}
 	hits := map[string]func() float64{}
 	misses := map[string]func() float64{}
 	evictions := map[string]func() float64{}

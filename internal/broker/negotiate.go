@@ -137,13 +137,13 @@ func WithProviderFilter(f ProviderFilter) NegotiatorOption {
 }
 
 // WithNegotiatorSolveCache attaches a content-addressed solve cache.
-// Tier 1 memoises the compiled negotiation instance (space and
-// constraint tables) per (semiring, offer, requirement); tier 2 serves
-// the propagation precheck's fixpoint through solver.PropagateCached,
-// so a request never computes the same c∅ twice; tier 3 memoises whole
-// negotiation plans — status, transition stream, final store — keyed
-// additionally by the acceptance interval, and renegotiation plans
-// keyed by (session, version, new requirement, bounds). Cached and
+// The tables tier memoises the compiled negotiation instance (space
+// and constraint tables) per (semiring, offer, requirement); the
+// search tier memoises whole negotiation plans — status, transition
+// stream, final store — keyed additionally by the acceptance interval,
+// and renegotiation plans keyed by (session, version, new
+// requirement, bounds). The precheck's c∅ is recomputed per request:
+// the fold costs less than hashing its tables for a lookup. Cached and
 // cold negotiations are bit-identical: same outcome, same SLA, and
 // byte-for-byte the same journal segments. A nil cache disables
 // caching.
@@ -312,15 +312,12 @@ func (n *Negotiator) negotiateOne(
 	// exact identity One at the success labels. So when the client
 	// states a lower bound a1 and already c∅ < a1, the checked ask can
 	// never fire: skip the machine run and report the Stuck outcome it
-	// would have reached. The fixpoint reads through the cache's tier 2
-	// (solver.PropagateCached), so one request never runs the same
-	// propagation twice and repeat requests share the c∅ of the first.
+	// would have reached. solver.NodeBound folds the two tables the way
+	// one round of solver.Propagate does, without rewriting a problem.
 	var czero float64
 	if req.Lower != nil {
 		sp := obs.StartSpan(ctx, "precheck:"+provider)
-		pre := core.NewProblem(space)
-		pre.Add(offerCon, reqCon)
-		_, czero, _ = solver.PropagateCached(n.cache, pre, 1)
+		czero = solver.NodeBound(space, offerCon, reqCon)
 		sp.End()
 		if semiring.Lt(sr, czero, *req.Lower) {
 			note := fmt.Sprintf("prechecked: c∅ = %s below lower threshold %s, machine run skipped",

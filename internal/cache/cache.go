@@ -14,15 +14,21 @@ const (
 	// TierTables holds compiled constraint tables (negotiation spaces,
 	// offer/requirement constraints).
 	TierTables Tier = iota
-	// TierFixpoint holds propagation fixpoints: the c∅ bound and the
-	// rewritten problem for a given round cap.
-	TierFixpoint
 	// TierSearch holds search outcomes: negotiation and renegotiation
 	// plans.
 	TierSearch
 
 	numTiers
 )
+
+// TierFixpoint named the tier of propagation fixpoints. The
+// negotiator's precheck folds its c∅ directly now, so nothing is
+// stored under it: TierStats reports zeros for it, and Get and Put
+// must not be given it.
+//
+// Deprecated: kept only while the benchmark harness's traced daemon
+// (_perfbench/tracedd) reads its counters; remove it with that read.
+const TierFixpoint Tier = numTiers
 
 // String returns the tier's metric label.
 func (t Tier) String() string {
@@ -46,9 +52,8 @@ type TierStats struct {
 
 // Stats is a point-in-time snapshot of every counter.
 type Stats struct {
-	Tables   TierStats
-	Fixpoint TierStats
-	Search   TierStats
+	Tables TierStats
+	Search TierStats
 }
 
 const numShards = 16
@@ -204,8 +209,7 @@ func (c *Cache) Snapshot() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Tables:   c.TierStats(TierTables),
-		Fixpoint: c.TierStats(TierFixpoint),
-		Search:   c.TierStats(TierSearch),
+		Tables: c.TierStats(TierTables),
+		Search: c.TierStats(TierSearch),
 	}
 }

@@ -26,8 +26,8 @@ func TestGetPutRoundTrip(t *testing.T) {
 		t.Fatalf("got (%v,%v), want (42,true)", v, ok)
 	}
 	// Same key, different tier: distinct entries.
-	if _, ok := c.Get(TierFixpoint, key("a")); ok {
-		t.Fatal("tier leak: fixpoint hit for a search-tier entry")
+	if _, ok := c.Get(TierTables, key("a")); ok {
+		t.Fatal("tier leak: tables hit for a search-tier entry")
 	}
 	c.Put(TierSearch, key("a"), 43)
 	if v, _ := c.Get(TierSearch, key("a")); v.(int) != 43 {
@@ -87,16 +87,19 @@ func TestLRUEviction(t *testing.T) {
 
 func TestStatsCount(t *testing.T) {
 	c := New(64)
-	c.Get(TierFixpoint, key("a"))
-	c.Put(TierFixpoint, key("a"), 1)
-	c.Get(TierFixpoint, key("a"))
-	c.Get(TierFixpoint, key("a"))
+	c.Get(TierTables, key("a"))
+	c.Put(TierTables, key("a"), 1)
+	c.Get(TierTables, key("a"))
+	c.Get(TierTables, key("a"))
 	st := c.Snapshot()
-	if st.Fixpoint.Hits != 2 || st.Fixpoint.Misses != 1 {
-		t.Fatalf("fixpoint stats %+v, want 2 hits / 1 miss", st.Fixpoint)
+	if st.Tables.Hits != 2 || st.Tables.Misses != 1 {
+		t.Fatalf("tables stats %+v, want 2 hits / 1 miss", st.Tables)
 	}
-	if got := TierFixpoint.String(); got != "fixpoint" {
+	if got := TierTables.String(); got != "tables" {
 		t.Fatalf("tier label %q", got)
+	}
+	if st := c.TierStats(TierFixpoint); st != (TierStats{}) {
+		t.Fatalf("retired fixpoint tier counts %+v, want zeros", st)
 	}
 }
 
@@ -189,7 +192,7 @@ func TestConcurrentAccess(t *testing.T) {
 func TestConcurrentSameKeyReplace(t *testing.T) {
 	c := New(16)
 	k := key("shared")
-	c.Put(TierFixpoint, k, 0)
+	c.Put(TierTables, k, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		g := g
@@ -198,8 +201,8 @@ func TestConcurrentSameKeyReplace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				if g%2 == 0 {
-					c.Put(TierFixpoint, k, i)
-				} else if v, ok := c.Get(TierFixpoint, k); !ok || v.(int) < 0 {
+					c.Put(TierTables, k, i)
+				} else if v, ok := c.Get(TierTables, k); !ok || v.(int) < 0 {
 					t.Errorf("lost or corrupt value %v", v)
 					return
 				}

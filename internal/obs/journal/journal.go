@@ -42,13 +42,14 @@ type TransitionRecord struct {
 }
 
 // Transition is one applied nmsccp transition as the machine hands it
-// over: the values themselves, not their text. Delta and Check must
-// be immutable (constraints are), since the journal renders them
-// whenever it is read.
+// over: the values themselves, not their text. Agent, Delta and
+// Check must be immutable (agents and constraints are), since the
+// journal renders them whenever it is read.
 type Transition struct {
-	Step  int
-	Rule  string
-	Agent string
+	Step int
+	Rule string
+	// Agent is the acting sub-agent.
+	Agent fmt.Stringer
 	// Delta is the told, retracted or updated constraint; nil when the
 	// action only observed the store.
 	Delta fmt.Stringer
@@ -62,11 +63,14 @@ type Transition struct {
 // Render returns the transition in wire form.
 func (t Transition) Render(format func(float64) string) TransitionRecord {
 	r := TransitionRecord{
-		Step: t.Step, Rule: t.Rule, Agent: t.Agent,
+		Step: t.Step, Rule: t.Rule,
 		BlevelBefore: format(t.BlevelBefore),
 		BlevelAfter:  format(t.BlevelAfter),
 		Consistent:   t.Consistent,
 		Cut:          t.Cut,
+	}
+	if t.Agent != nil {
+		r.Agent = t.Agent.String()
 	}
 	if t.Delta != nil {
 		r.Delta = t.Delta.String()

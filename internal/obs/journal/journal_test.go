@@ -133,7 +133,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	j.SetSemiring(carrier{calls: new(int)})
 	j.BeginRun(Segment{Label: "negotiate:p1", Seed: 1, Fuel: 200}, program{src: "main :: success."})
 	j.RecordTransition(Transition{
-		Step: 1, Rule: "R1 Tell", Agent: "tell(c)→ success",
+		Step: 1, Rule: "R1 Tell", Agent: text("tell(c)→ success"),
 		Delta: text("c(x){⟨0⟩→0}"), BlevelAfter: 2, Consistent: true,
 	})
 	j.RecordSearch(Search{Kind: Stage, Depth: 4, Value: 2.5})
@@ -234,20 +234,20 @@ func (c counted) Source() (string, int) { *c.calls++; return c.s, 0 }
 
 // TestReadRendersOnce: a sink rewrites a journal after every
 // renegotiation, so a second read must not render again what the
-// first one did — no program proved twice, no constraint printed
-// twice — and must serve the same bytes.
+// first one did — no program proved twice, no agent or constraint
+// printed twice — and must serve the same bytes.
 func TestReadRendersOnce(t *testing.T) {
 	calls := 0
 	j := New(8, Meta{ID: "once"})
 	j.BeginRun(Segment{Label: "negotiate:p", Fuel: 10}, counted{"main :: success.", &calls})
-	j.RecordTransition(Transition{Step: 1, Rule: "R1 Tell", Delta: counted{"c", &calls}, Check: counted{"→", &calls}})
+	j.RecordTransition(Transition{Step: 1, Rule: "R1 Tell", Agent: counted{"tell(c)", &calls}, Delta: counted{"c", &calls}, Check: counted{"→", &calls}})
 	j.EndRun("succeeded", counted{"σ", &calls}, 1)
 	var first bytes.Buffer
 	if err := j.WriteJSONL(&first); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 4 {
-		t.Fatalf("first read rendered %d values, want 4", calls)
+	if calls != 5 {
+		t.Fatalf("first read rendered %d values, want 5", calls)
 	}
 	for i := 0; i < 3; i++ {
 		var again bytes.Buffer
@@ -260,8 +260,8 @@ func TestReadRendersOnce(t *testing.T) {
 		j.Segments()
 		j.Events()
 	}
-	if calls != 4 {
-		t.Errorf("repeated reads rendered %d values in all, want 4", calls)
+	if calls != 5 {
+		t.Errorf("repeated reads rendered %d values in all, want 5", calls)
 	}
 }
 
@@ -362,7 +362,7 @@ func TestLiteralEvents(t *testing.T) {
 func TestRecordAllocs(t *testing.T) {
 	j := New(64, Meta{})
 	j.BeginSegment(Segment{Label: "s"})
-	d := Transition{Step: 1, Rule: "R1 Tell", Delta: text("c"), BlevelAfter: 1}
+	d := Transition{Step: 1, Rule: "R1 Tell", Agent: text("tell(c)→ success"), Delta: text("c"), BlevelAfter: 1}
 	for i := 0; i < 64; i++ {
 		j.RecordTransition(d)
 	}

@@ -46,8 +46,9 @@ type Event[T any] struct {
 	Step int
 	// Rule names the applied rule (R1 Tell … R10 P-call).
 	Rule string
-	// Agent describes the acting sub-agent.
-	Agent string
+	// Agent is the acting sub-agent; agents are immutable, so its
+	// printed form is the same whenever it is read.
+	Agent Agent[T]
 	// Blevel is σ⇓∅ after the transition.
 	Blevel T
 	// Cut marks a transition that committed a nondeterministic sum:
@@ -82,6 +83,12 @@ type Machine[T any] struct {
 	seed  int64
 	rng   *rand.Rand
 	root  Agent[T]
+
+	// rewrites counts administrative rewrites (an opened quantifier,
+	// an expanded call, an expired timer): a step that applied no
+	// transition made progress iff it moved the count. A sum that
+	// discards a branch restores the count with it.
+	rewrites int
 
 	// trace is a ring of the most recent transitions: traceCap is its
 	// capacity (0 = unbounded), head the next overwrite position once
@@ -173,7 +180,7 @@ func NewMachine[T any](space *core.Space[T], root Agent[T], opts ...MachineOptio
 	for _, o := range opts {
 		o(m)
 	}
-	m.rng = rand.New(rand.NewSource(m.seed))
+	m.rng = newRNG(m.seed)
 	if m.rec != nil {
 		// Baseline for the first record's BlevelBefore; with WithStore
 		// the machine may start from a non-trivial σ.
@@ -261,7 +268,7 @@ func (m *Machine[T]) Run(fuel int) (Status, error) {
 // administrative rewrites in between.
 func (m *Machine[T]) step1() (bool, error) {
 	for i := 0; i < maxExpansion; i++ {
-		before := m.root
+		rewrites := m.rewrites
 		applied, err := m.Step()
 		if err != nil {
 			return false, err
@@ -269,23 +276,22 @@ func (m *Machine[T]) step1() (bool, error) {
 		if applied {
 			return true, nil
 		}
-		if agentEq[T](before, m.root) {
+		if m.rewrites == rewrites {
 			return false, nil
 		}
 	}
 	return false, ErrDiverging
 }
 
-// agentEq is a cheap identity check used to detect administrative
-// progress; it compares the trees' printed forms.
-func agentEq[T any](a, b Agent[T]) bool { return a.String() == b.String() }
-
-func (m *Machine[T]) record(rule string, ag Agent[T], c *core.Constraint[T], check Check[T]) {
+// record appends a transition by the agent a, which the caller passes
+// as the interface value already in the agent tree, so recording boxes
+// nothing.
+func (m *Machine[T]) record(rule string, a Agent[T], c *core.Constraint[T], check Check[T]) {
 	m.steps++
 	ev := Event[T]{
 		Step:   m.steps,
 		Rule:   rule,
-		Agent:  ag.String(),
+		Agent:  a,
 		Blevel: m.store.Blevel(),
 	}
 	if m.traceCap > 0 && len(m.trace) == m.traceCap {
@@ -359,21 +365,21 @@ func (m *Machine[T]) step(a Agent[T], depth int) (Agent[T], bool, error) {
 			return a, false, nil
 		}
 		m.store.Tell(ag.C)
-		m.record("R1 Tell", ag, ag.C, ag.Check)
+		m.record("R1 Tell", a, ag.C, ag.Check)
 		return ag.Next, true, nil
 
 	case Ask[T]: // R2
 		if !m.store.Entails(ag.C) || !ag.Check.Holds(sr, m.store.Constraint()) {
 			return a, false, nil
 		}
-		m.record("R2 Ask", ag, nil, ag.Check)
+		m.record("R2 Ask", a, nil, ag.Check)
 		return ag.Next, true, nil
 
 	case Nask[T]: // R6
 		if m.store.Entails(ag.C) || !ag.Check.Holds(sr, m.store.Constraint()) {
 			return a, false, nil
 		}
-		m.record("R6 Nask", ag, nil, ag.Check)
+		m.record("R6 Nask", a, nil, ag.Check)
 		return ag.Next, true, nil
 
 	case Retract[T]: // R7
@@ -387,7 +393,7 @@ func (m *Machine[T]) step(a Agent[T], depth int) (Agent[T], bool, error) {
 		if !m.store.Retract(ag.C) {
 			return a, false, nil
 		}
-		m.record("R7 Retract", ag, ag.C, ag.Check)
+		m.record("R7 Retract", a, ag.C, ag.Check)
 		return ag.Next, true, nil
 
 	case Update[T]: // R8
@@ -396,7 +402,7 @@ func (m *Machine[T]) step(a Agent[T], depth int) (Agent[T], bool, error) {
 			return a, false, nil
 		}
 		m.store.Update(ag.Vars, ag.C)
-		m.record("R8 Update", ag, ag.C, ag.Check)
+		m.record("R8 Update", a, ag.C, ag.Check)
 		return ag.Next, true, nil
 
 	case Parallel[T]: // R3/R4
@@ -405,23 +411,25 @@ func (m *Machine[T]) step(a Agent[T], depth int) (Agent[T], bool, error) {
 		if swapped {
 			first, second = second, first
 		}
+		rewrites := m.rewrites
 		f2, applied, err := m.step(first, depth+1)
 		if err != nil {
 			return a, false, err
 		}
-		if applied || !agentEq[T](first, f2) {
+		if applied || m.rewrites != rewrites {
 			return rebuildPar[T](f2, second, swapped), applied, nil
 		}
 		s2, applied, err := m.step(second, depth+1)
 		if err != nil {
 			return a, false, err
 		}
-		if applied || !agentEq[T](second, s2) {
+		if applied || m.rewrites != rewrites {
 			return rebuildPar[T](f2, s2, swapped), applied, nil
 		}
 		return a, false, nil
 
 	case Sum[T]: // R5
+		rewrites := m.rewrites
 		for _, i := range m.rng.Perm(len(ag.branches)) {
 			b2, applied, err := m.step(ag.branches[i], depth+1)
 			if err != nil {
@@ -435,10 +443,14 @@ func (m *Machine[T]) step(a Agent[T], depth int) (Agent[T], bool, error) {
 				}
 				return b2, true, nil
 			}
+			// The sum keeps its form: a branch's rewrite is discarded
+			// with the branch.
+			m.rewrites = rewrites
 		}
 		return a, false, nil
 
 	case Exists[T]: // R9 (administrative opening, then the body moves)
+		m.rewrites++
 		fresh := m.space.FreshVariable(ag.Prefix, ag.Domain)
 		body := ag.Body(fresh)
 		next, applied, err := m.step(body, depth+1)
@@ -462,6 +474,7 @@ func (m *Machine[T]) step(a Agent[T], depth int) (Agent[T], bool, error) {
 			return a, false, fmt.Errorf("sccp: %s expects %d args, got %d",
 				ag.Name, clause.Arity, len(ag.Args))
 		}
+		m.rewrites++
 		body := clause.Body(append([]core.Variable(nil), ag.Args...))
 		next, applied, err := m.step(body, depth+1)
 		if err != nil {

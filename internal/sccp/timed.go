@@ -21,8 +21,8 @@ type Timeout[T any] struct {
 
 func (Timeout[T]) isAgent() {}
 
-// String includes the remaining budget so that countdown is visible
-// as progress to the machine's administrative-rewrite detection.
+// String includes the remaining budget, so every tick is visible in
+// the trace.
 func (a Timeout[T]) String() string {
 	return fmt.Sprintf("timeout(%d){%s}else{%s}", a.Budget, a.Body, a.Else)
 }
@@ -36,12 +36,14 @@ func (m *Machine[T]) stepTimeout(ag Timeout[T], depth int) (Agent[T], bool, erro
 	if ag.Budget <= 0 {
 		// Deadline already passed: administratively become Else and
 		// give it an immediate chance to act.
+		m.rewrites++
 		next, applied, err := m.step(ag.Else, depth+1)
 		if err != nil {
 			return ag, false, err
 		}
 		return next, applied, nil
 	}
+	rewrites := m.rewrites
 	next, applied, err := m.step(ag.Body, depth+1)
 	if err != nil {
 		return ag, false, err
@@ -50,14 +52,14 @@ func (m *Machine[T]) stepTimeout(ag Timeout[T], depth int) (Agent[T], bool, erro
 		m.lastEvent().Rule += " (via Timeout)"
 		return next, true, nil
 	}
-	if !agentEq[T](ag.Body, next) {
+	if m.rewrites != rewrites {
 		// The body rewrote administratively; keep the timer running.
 		return Timeout[T]{Budget: ag.Budget, Body: next, Else: ag.Else}, false, nil
 	}
 	// The body is blocked: one time unit passes. Ticks are real
 	// transitions — time is observable — so a lone timer runs the
 	// fuel down rather than deadlocking the machine.
-	out := Timeout[T]{Budget: ag.Budget - 1, Body: ag.Body, Else: ag.Else}
+	var out Agent[T] = Timeout[T]{Budget: ag.Budget - 1, Body: ag.Body, Else: ag.Else}
 	m.record("Tick Timeout", out, nil, Check[T]{})
 	return out, true, nil
 }

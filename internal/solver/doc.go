@@ -42,9 +42,9 @@
 //   - WithPropagation: seed the search with soft arc/node-consistency
 //     (c∅ root bound + tightened unary tables)
 //
-// PropagateCached runs the same propagation behind a cache's fixpoint
-// tier (see internal/cache); the broker's negotiator uses it to share
-// one fixpoint per distinct constraint store.
+// NodeBound computes the c∅ of one propagation round over unary and
+// zero-arity constraints without rewriting the problem; the broker's
+// negotiator prechecks every provider with it.
 //
 // Local search (LocalSearch):
 //

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"softsoa/internal/core"
@@ -150,4 +152,131 @@ func TestPropagateEmptyProblem(t *testing.T) {
 	if got := q.Blevel(); got != 0 {
 		t.Errorf("blevel = %v", got)
 	}
+}
+
+// nodeBoundCase checks NodeBound on 200 random problems over one or
+// two variables: unary tables and zero-arity constants, plus a binary
+// constraint in every fifth problem to take the fallback. Its c∅ must
+// carry the bits of Propagate(p, 1)'s and of the label-by-label fold
+// the negotiator's precheck ran before NodeBound.
+func nodeBoundCase[T any](t *testing.T, sr semiring.Semiring[T], value func(*rand.Rand) T, same func(a, b T) bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(42))
+	for k := 0; k < 200; k++ {
+		s := core.NewSpace(sr)
+		vars := []core.Variable{s.AddVariable("x", core.IntDomain(0, rng.Intn(4)))}
+		if rng.Intn(2) == 0 {
+			vars = append(vars, s.AddVariable("y", core.IntDomain(0, rng.Intn(4))))
+		}
+		var cons []*core.Constraint[T]
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			if rng.Intn(4) == 0 {
+				cons = append(cons, core.Constant(s, value(rng)))
+				continue
+			}
+			v := vars[rng.Intn(len(vars))]
+			cons = append(cons, core.NewConstraint(s, []core.Variable{v}, func(core.Assignment) T { return value(rng) }))
+		}
+		unaryOnly := k%5 != 0 || len(vars) == 1
+		if !unaryOnly {
+			cons = append(cons, core.NewConstraint(s, vars, func(core.Assignment) T { return value(rng) }))
+		}
+		got := NodeBound(s, cons...)
+		_, want, _ := Propagate(core.NewProblem(s).Add(cons...), 1)
+		if !same(got, want) {
+			t.Fatalf("problem %d: NodeBound %s, Propagate(p, 1) %s", k, sr.Format(got), sr.Format(want))
+		}
+		if unaryOnly {
+			if ref := labelFold(s, cons); !same(got, ref) {
+				t.Fatalf("problem %d: NodeBound %s, label-by-label fold %s", k, sr.Format(got), sr.Format(ref))
+			}
+		}
+	}
+}
+
+// labelFold is the precheck's c∅ as Propagate computed it before the
+// fold was shared: every unary level read by label through AtLabels.
+func labelFold[T any](s *core.Space[T], cons []*core.Constraint[T]) T {
+	sr := s.Semiring()
+	czero := sr.One()
+	levels := map[core.Variable][]T{}
+	var order []core.Variable
+	for _, c := range cons {
+		scope := c.Scope()
+		if len(scope) == 0 {
+			czero = sr.Times(czero, c.AtLabels())
+			continue
+		}
+		v, dom := scope[0], s.Domain(scope[0])
+		if _, ok := levels[v]; !ok {
+			levels[v] = make([]T, len(dom))
+			for i := range dom {
+				levels[v][i] = sr.One()
+			}
+			order = append(order, v)
+		}
+		for i, d := range dom {
+			levels[v][i] = sr.Times(levels[v][i], c.AtLabels(d.Label))
+		}
+	}
+	for _, v := range order {
+		beta := sr.Zero()
+		for _, lv := range levels[v] {
+			beta = sr.Plus(beta, lv)
+		}
+		if !sr.Eq(beta, sr.One()) {
+			czero = sr.Times(czero, beta)
+		}
+	}
+	return czero
+}
+
+// TestNodeBoundMatchesPropagate runs nodeBoundCase over all seven
+// semirings. Values hit One and Zero often, so both branches of the
+// node-consistency shift are taken.
+func TestNodeBoundMatchesPropagate(t *testing.T) {
+	sameFloat := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	pick := func(rng *rand.Rand, special []float64, draw func() float64) float64 {
+		if i := rng.Intn(len(special) + 2); i < len(special) {
+			return special[i]
+		}
+		return draw()
+	}
+	t.Run("weighted", func(t *testing.T) {
+		nodeBoundCase[float64](t, semiring.Weighted{}, func(rng *rand.Rand) float64 {
+			return pick(rng, []float64{0, math.Inf(1)}, func() float64 { return float64(rng.Intn(20)) + rng.Float64() })
+		}, sameFloat)
+	})
+	t.Run("bounded", func(t *testing.T) {
+		nodeBoundCase[float64](t, semiring.NewBoundedWeighted(50), func(rng *rand.Rand) float64 {
+			return pick(rng, []float64{0, 50}, func() float64 { return float64(rng.Intn(60)) + rng.Float64() })
+		}, sameFloat)
+	})
+	t.Run("fuzzy", func(t *testing.T) {
+		nodeBoundCase[float64](t, semiring.Fuzzy{}, func(rng *rand.Rand) float64 {
+			return pick(rng, []float64{0, 1}, rng.Float64)
+		}, sameFloat)
+	})
+	t.Run("probabilistic", func(t *testing.T) {
+		nodeBoundCase[float64](t, semiring.Probabilistic{}, func(rng *rand.Rand) float64 {
+			return pick(rng, []float64{0, 1}, rng.Float64)
+		}, sameFloat)
+	})
+	t.Run("classical", func(t *testing.T) {
+		nodeBoundCase[bool](t, semiring.Classical{}, func(rng *rand.Rand) bool {
+			return rng.Intn(3) > 0
+		}, func(a, b bool) bool { return a == b })
+	})
+	t.Run("set", func(t *testing.T) {
+		nodeBoundCase[semiring.Bitset](t, semiring.NewSet("read", "write", "admin"), func(rng *rand.Rand) semiring.Bitset {
+			return semiring.Bitset(rng.Intn(8))
+		}, func(a, b semiring.Bitset) bool { return a == b })
+	})
+	t.Run("product", func(t *testing.T) {
+		nodeBoundCase[semiring.Pair[float64, float64]](t, semiring.NewProduct[float64, float64](semiring.Weighted{}, semiring.Fuzzy{}),
+			func(rng *rand.Rand) semiring.Pair[float64, float64] {
+				return semiring.P(pick(rng, []float64{0}, func() float64 { return float64(rng.Intn(10)) }),
+					pick(rng, []float64{1}, rng.Float64))
+			}, func(a, b semiring.Pair[float64, float64]) bool { return sameFloat(a.First, b.First) && sameFloat(a.Second, b.Second) })
+	})
 }
