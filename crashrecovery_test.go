@@ -80,6 +80,7 @@ func startBrokerd(t *testing.T, bin, stateDir string) *brokerProc {
 	)
 	cmd.Stdout = out
 	cmd.Stderr = out
+	dieWithTest(cmd)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ func run(t *testing.T, bin string, args ...string) (string, error) {
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout = &buf
 	cmd.Stderr = &buf
+	dieWithTest(cmd)
 	err := cmd.Run()
 	return buf.String(), err
 }

@@ -70,7 +70,9 @@ func negotiateJournaled(t *testing.T, n *Negotiator, req Request) (*soa.SLA, *Se
 // TestCachedNegotiationBitIdentical: a negotiation served from the
 // plan cache must equal the cold run in every observable — SLA,
 // per-provider outcomes, session level — and its journal must be byte
-// for byte the cold journal.
+// for byte the cold journal. Plans are admitted on second sight, so
+// the cache is primed by two runs: the first stores nothing, the
+// second (the "miss") stores the plan.
 func TestCachedNegotiationBitIdentical(t *testing.T) {
 	req := cacheTestRequest()
 	nCold := NewNegotiator(cacheTestRegistry(t))
@@ -78,6 +80,7 @@ func TestCachedNegotiationBitIdentical(t *testing.T) {
 
 	c := cache.New(1024)
 	nCached := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
+	negotiateJournaled(t, nCached, req)
 	slaMiss, _, outMiss, jMiss := negotiateJournaled(t, nCached, req)
 	before := c.TierStats(cache.TierSearch).Hits
 	slaHit, sessHit, outHit, jHit := negotiateJournaled(t, nCached, req)
@@ -111,7 +114,7 @@ func TestCachedNegotiationBitIdentical(t *testing.T) {
 // TestCachedPrecheckedNegotiationBitIdentical covers the doomed
 // precheck path: an unreachable lower bound is prechecked cold and
 // must replay identically (note, search record, stuck status) from
-// the cache.
+// the cache once the plan has been admitted.
 func TestCachedPrecheckedNegotiationBitIdentical(t *testing.T) {
 	req := cacheTestRequest()
 	req.Lower = fptr(1) // cost semiring: 1 is better than any attainable total
@@ -120,10 +123,15 @@ func TestCachedPrecheckedNegotiationBitIdentical(t *testing.T) {
 
 	c := cache.New(1024)
 	nCached := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
+	_, _, _, jFirst := negotiateJournaled(t, nCached, req)
 	_, _, _, jMiss := negotiateJournaled(t, nCached, req)
+	before := c.TierStats(cache.TierSearch).Hits
 	_, _, outHit, jHit := negotiateJournaled(t, nCached, req)
-	if jMiss != jCold || jHit != jCold {
-		t.Errorf("prechecked journals differ:\ncold:\n%s\nmiss:\n%s\nhit:\n%s", jCold, jMiss, jHit)
+	if c.TierStats(cache.TierSearch).Hits <= before {
+		t.Fatal("third prechecked negotiation did not hit the plan cache")
+	}
+	if jFirst != jCold || jMiss != jCold || jHit != jCold {
+		t.Errorf("prechecked journals differ:\ncold:\n%s\nfirst:\n%s\nmiss:\n%s\nhit:\n%s", jCold, jFirst, jMiss, jHit)
 	}
 	if !reflect.DeepEqual(outHit, outCold) {
 		t.Errorf("prechecked hit outcome %+v differs from cold %+v", outHit, outCold)
@@ -148,10 +156,13 @@ func renegotiateJournaled(t *testing.T, s *Session, newReq soa.Attribute, lower,
 	return sla, journalBytes(t, j)
 }
 
-// TestCachedRenegotiationBitIdentical: two sessions negotiated from
-// the same template share a history key, so the second session's
-// renegotiation replays the first's cached plan — and must match a
-// cache-less session's renegotiation byte for byte.
+// TestCachedRenegotiationBitIdentical: sessions negotiated from the
+// same template share a history key, so once a sibling's
+// renegotiation has been admitted and stored, the next session's
+// renegotiation replays it — and must match a cache-less session's
+// renegotiation byte for byte. Admission on second sight takes three
+// sessions: the first renegotiation stores nothing, the second (the
+// "miss") stores the plan, the third hits.
 func TestCachedRenegotiationBitIdentical(t *testing.T) {
 	req := cacheTestRequest()
 	newReq := soa.Attribute{
@@ -170,30 +181,32 @@ func TestCachedRenegotiationBitIdentical(t *testing.T) {
 	nCached := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
 	_, sessA, _, _ := negotiateJournaled(t, nCached, req)
 	_, sessB, _, _ := negotiateJournaled(t, nCached, req)
-	slaMiss, jMiss := renegotiateJournaled(t, sessA, newReq, nil, nil)
+	_, sessC, _, _ := negotiateJournaled(t, nCached, req)
+	slaFirst, jFirst := renegotiateJournaled(t, sessA, newReq, nil, nil)
+	slaMiss, jMiss := renegotiateJournaled(t, sessB, newReq, nil, nil)
 	before := c.TierStats(cache.TierSearch).Hits
-	slaHit, jHit := renegotiateJournaled(t, sessB, newReq, nil, nil)
+	slaHit, jHit := renegotiateJournaled(t, sessC, newReq, nil, nil)
 	if c.TierStats(cache.TierSearch).Hits <= before {
 		t.Fatal("sibling session's renegotiation did not hit the plan cache")
 	}
 
-	if jMiss != jCold || jHit != jCold {
-		t.Errorf("renegotiation journals differ:\ncold:\n%s\nmiss:\n%s\nhit:\n%s", jCold, jMiss, jHit)
+	if jFirst != jCold || jMiss != jCold || jHit != jCold {
+		t.Errorf("renegotiation journals differ:\ncold:\n%s\nfirst:\n%s\nmiss:\n%s\nhit:\n%s", jCold, jFirst, jMiss, jHit)
 	}
-	for label, got := range map[string]*soa.SLA{"miss": slaMiss, "hit": slaHit} {
+	for label, got := range map[string]*soa.SLA{"first": slaFirst, "miss": slaMiss, "hit": slaHit} {
 		if got == nil || got.AgreedLevel != slaCold.AgreedLevel ||
 			!reflect.DeepEqual(got.Resources, slaCold.Resources) {
 			t.Errorf("%s renegotiated SLA %+v differs from cold %+v", label, got, slaCold)
 		}
 	}
-	if sessB.Version() != sessCold.Version() || sessB.AgreedLevel() != sessCold.AgreedLevel() {
+	if sessC.Version() != sessCold.Version() || sessC.AgreedLevel() != sessCold.AgreedLevel() {
 		t.Errorf("replayed session (level %v, v%d) differs from cold (level %v, v%d)",
-			sessB.AgreedLevel(), sessB.Version(), sessCold.AgreedLevel(), sessCold.Version())
+			sessC.AgreedLevel(), sessC.Version(), sessCold.AgreedLevel(), sessCold.Version())
 	}
 
 	// A further renegotiation on the replayed session must keep
 	// working — its history key advanced with the replay.
-	sla2, _ := renegotiateJournaled(t, sessB, soa.Attribute{
+	sla2, _ := renegotiateJournaled(t, sessC, soa.Attribute{
 		Metric: soa.MetricCost, Base: 0, PerUnit: 1, Resource: "failures", MaxUnits: 10,
 	}, nil, nil)
 	if sla2 == nil {
@@ -202,8 +215,8 @@ func TestCachedRenegotiationBitIdentical(t *testing.T) {
 }
 
 // TestCachedRenegotiationRejectionReplay: a rejected renegotiation is
-// cached too; the retry replays the rejection without touching the
-// store.
+// cached too, on its second sighting; the next retry replays the
+// rejection without touching the store.
 func TestCachedRenegotiationRejectionReplay(t *testing.T) {
 	c := cache.New(1024)
 	n := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
@@ -213,17 +226,18 @@ func TestCachedRenegotiationRejectionReplay(t *testing.T) {
 	tight := soa.Attribute{
 		Metric: soa.MetricCost, Base: 100, PerUnit: 10, Resource: "failures", MaxUnits: 10,
 	}
+	sla0, j0 := renegotiateJournaled(t, sess, tight, fptr(1), nil)
 	sla1, j1 := renegotiateJournaled(t, sess, tight, fptr(1), nil)
 	before := c.TierStats(cache.TierSearch).Hits
 	sla2, j2 := renegotiateJournaled(t, sess, tight, fptr(1), nil)
-	if sla1 != nil || sla2 != nil {
-		t.Fatalf("tightening should be rejected, got %v then %v", sla1, sla2)
+	if sla0 != nil || sla1 != nil || sla2 != nil {
+		t.Fatalf("tightening should be rejected, got %v, %v then %v", sla0, sla1, sla2)
 	}
 	if c.TierStats(cache.TierSearch).Hits <= before {
 		t.Fatal("retried rejection did not hit the plan cache")
 	}
-	if j1 != j2 {
-		t.Errorf("rejection replay journal differs:\nfirst:\n%s\nretry:\n%s", j1, j2)
+	if j0 != j1 || j1 != j2 {
+		t.Errorf("rejection replay journal differs:\nfirst:\n%s\nsecond:\n%s\nretry:\n%s", j0, j1, j2)
 	}
 	if sess.AgreedLevel() != level || sess.Version() != 1 {
 		t.Errorf("rejected renegotiation moved the session: level %v version %d", sess.AgreedLevel(), sess.Version())
@@ -352,5 +366,119 @@ func TestServerCacheMetrics(t *testing.T) {
 	}
 	if hits <= 0 {
 		t.Errorf("cache_hits_total = %v after repeated negotiations, want > 0", hits)
+	}
+}
+
+// TestDistinctRequestsLeaveCacheEmpty: under second-sight admission,
+// requests that never repeat store nothing. A thousand distinct
+// negotiations, each followed by a distinct renegotiation, leave a
+// default-sized cache empty.
+func TestDistinctRequestsLeaveCacheEmpty(t *testing.T) {
+	c := cache.New(defaultSolveCacheSize)
+	n := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
+	ctx := context.Background()
+	for i := 0; i < 1000; i++ {
+		req := cacheTestRequest()
+		req.Lower = nil
+		req.Requirement.Base = float64(i) / 8
+		sla, sess, _, err := n.NegotiateSession(ctx, req)
+		if err != nil || sla == nil {
+			t.Fatalf("negotiation %d: sla %v, err %v", i, sla, err)
+		}
+		relaxed := req.Requirement
+		relaxed.PerUnit = 0
+		if sla, err := sess.Renegotiate(ctx, relaxed, nil, nil); err != nil || sla == nil {
+			t.Fatalf("renegotiation %d: sla %v, err %v", i, sla, err)
+		}
+	}
+	if got := c.Len(); got != 0 {
+		t.Fatalf("cache holds %d entries after distinct requests, want 0", got)
+	}
+	if st := c.TierStats(cache.TierSearch); st.Hits != 0 || st.Evictions != 0 {
+		t.Fatalf("search tier %+v after distinct requests, want no hits or evictions", st)
+	}
+}
+
+// TestThirdSightingReplays: the first sighting of a request stores
+// nothing, the second runs cold and stores the plan, the third
+// replays it. Every one of the three journals is byte for byte the
+// journal of a cache-less negotiator.
+func TestThirdSightingReplays(t *testing.T) {
+	req := cacheTestRequest()
+	_, _, _, jCold := negotiateJournaled(t, NewNegotiator(cacheTestRegistry(t)), req)
+
+	c := cache.New(defaultSolveCacheSize)
+	n := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
+	providers := len(cacheTestRegistry(t).Discover(req.Service))
+	for sighting, want := range []struct{ entries, hits int }{
+		{0, 0},                 // first: seen, not stored
+		{providers, 0},         // second: one plan per provider
+		{providers, providers}, // third: every provider replays
+	} {
+		_, _, _, j := negotiateJournaled(t, n, req)
+		if j != jCold {
+			t.Errorf("sighting %d: journal differs from cold:\ncold:\n%s\ngot:\n%s", sighting+1, jCold, j)
+		}
+		if got := c.Len(); got != want.entries {
+			t.Errorf("sighting %d: %d cache entries, want %d", sighting+1, got, want.entries)
+		}
+		if got := c.TierStats(cache.TierSearch).Hits; got != int64(want.hits) {
+			t.Errorf("sighting %d: %d hits, want %d", sighting+1, got, want.hits)
+		}
+	}
+}
+
+// firstSightingNegotiation is coldNegotiation on a negotiator with a
+// default-sized solve cache, where every call is the first sighting of
+// its plan keys: each call's requirement carries a fresh name, which
+// keys the plan but changes nothing else about the run.
+func firstSightingNegotiation(tb testing.TB) func() {
+	reg := soa.NewRegistry()
+	for i := 0; i < 8; i++ {
+		if err := reg.Publish(costDoc(fmt.Sprintf("p%d", i), "failmgmt", float64(2+3*i), float64(1+i%3), "eu")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	n := NewNegotiator(reg, WithNegotiatorSolveCache(cache.New(defaultSolveCacheSize)))
+	reqs := make([]Request, 64)
+	for i := range reqs {
+		reqs[i] = Request{
+			Service: "failmgmt", Client: "bench", Metric: soa.MetricCost,
+			Requirement: soa.Attribute{
+				Name: fmt.Sprintf("budget-%d", i), Metric: soa.MetricCost,
+				Base: 3, PerUnit: 1, Resource: "failures", MaxUnits: 10,
+			},
+			Lower: fptr(22),
+		}
+	}
+	next := 0
+	return func() {
+		if next == len(reqs) {
+			tb.Fatal("firstSightingNegotiation ran out of distinct requests")
+		}
+		req := reqs[next]
+		next++
+		j := journal.New(journal.DefaultCapacity, journal.Meta{Kind: "negotiation"})
+		sla, _, err := n.Negotiate(journal.ContextWith(context.Background(), j), req)
+		if err != nil || sla == nil {
+			tb.Fatalf("negotiation failed: %v", err)
+		}
+	}
+}
+
+// firstSightingAllocs bounds firstSightingNegotiation's allocations:
+// 1 348 measured, coldNegotiation's 1 340 plus one per provider for
+// its plan key, plus 5%.
+const firstSightingAllocs = 1415
+
+// TestFirstSightingAllocs: a first sighting costs what a cold
+// negotiation costs plus its key hashes — no transition capture, no
+// program, no plan.
+func TestFirstSightingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if n := testing.AllocsPerRun(20, firstSightingNegotiation(t)); n > firstSightingAllocs {
+		t.Errorf("first-sighting negotiation allocates %.0f times, ceiling %d", n, firstSightingAllocs)
 	}
 }

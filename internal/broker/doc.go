@@ -60,8 +60,10 @@
 // on, repeat negotiations with identical content replay memoised
 // plans — emitting byte-identical flight-recorder journals without
 // re-running the transition machine — and sessions share
-// renegotiation plans under history-derived keys. The c∅ precheck is
-// one node-consistency fold per provider and is not cached.
+// renegotiation plans under history-derived keys. A plan is stored
+// on the second sighting of its key, so a request seen once costs no
+// cache memory, and it replays from the third. The c∅ precheck is one
+// node-consistency fold per provider and is not cached.
 // Compositions are solved afresh per request, one chain pass each.
 // Cached outcomes are bitwise those of the cold runs; error outcomes
 // are never cached. Hit rates are exported as the cache_* metric

@@ -188,21 +188,15 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // registerCacheMetrics exports the solve cache's counters on the
 // registry as live families: cache_{hits,misses,evictions}_total are
-// labelled by tier (tables / search), and cache_entries
-// gauges the current population. The readings come straight from the cache's atomics, so
-// every scrape sees the instantaneous truth without per-operation
-// instrument plumbing on the hot paths.
+// labelled by tier (only search remains), and cache_entries gauges
+// the current population. The readings come straight from the
+// cache's atomics, so every scrape sees the instantaneous truth
+// without per-operation instrument plumbing on the hot paths.
 func registerCacheMetrics(reg *obs.Registry, c *cache.Cache) {
-	tiers := []cache.Tier{cache.TierTables, cache.TierSearch}
-	hits := map[string]func() float64{}
-	misses := map[string]func() float64{}
-	evictions := map[string]func() float64{}
-	for _, t := range tiers {
-		t := t
-		hits[t.String()] = func() float64 { return float64(c.TierStats(t).Hits) }
-		misses[t.String()] = func() float64 { return float64(c.TierStats(t).Misses) }
-		evictions[t.String()] = func() float64 { return float64(c.TierStats(t).Evictions) }
-	}
+	t := cache.TierSearch
+	hits := map[string]func() float64{t.String(): func() float64 { return float64(c.TierStats(t).Hits) }}
+	misses := map[string]func() float64{t.String(): func() float64 { return float64(c.TierStats(t).Misses) }}
+	evictions := map[string]func() float64{t.String(): func() float64 { return float64(c.TierStats(t).Evictions) }}
 	reg.CounterFuncs("cache_hits_total", "Solve cache hits by tier.", "tier", hits)
 	reg.CounterFuncs("cache_misses_total", "Solve cache misses by tier.", "tier", misses)
 	reg.CounterFuncs("cache_evictions_total", "Solve cache LRU evictions by tier.", "tier", evictions)

@@ -10,16 +10,23 @@ import (
 )
 
 // This file is the broker side of the content-addressed solve cache:
-// negotiation instances (tier 1: the compiled space and constraint
-// tables a provider/requirement pair always produces), negotiation and
-// renegotiation plans (tier 3: the full machine outcome — status,
-// transition stream, final store — of a deterministic run), and the
-// key builders that address them. The machine is deterministic given
-// (semiring, offer, requirement, bounds): seed 1, fixed fuel, fixed
-// agent trees. A plan hit therefore replays the exact journal segment
-// the cold run recorded — byte for byte, including the transition
-// records — and mints a live Session from the cached store snapshot
-// without burning fuel.
+// negotiation and renegotiation plans (the full machine outcome —
+// status, transition stream, final store — of a deterministic run)
+// and the key builders that address them. The machine is
+// deterministic given (semiring, offer, requirement, bounds): seed 1,
+// fixed fuel, fixed agent trees. A plan hit therefore replays the
+// exact journal segment the cold run recorded — byte for byte,
+// including the transition records — and mints a live Session from
+// the cached store snapshot without burning fuel.
+//
+// Plans are admitted on second sight (cache.Admit): the first
+// sighting of a key runs cold without capturing anything, the second
+// runs cold and stores its plan, and later ones replay it. A key that
+// never repeats — every request of a stream of distinct requirements
+// — therefore costs no cache memory, and a replay stays byte-equal
+// to a cold run either way. The compiled negotiation instance (space
+// and constraint tables) is not cached on its own: each cold run
+// compiles one, and a plan keeps the instance it was built from.
 //
 // A plan holds what the cold run journaled, as values rather than
 // text: the captured program inputs, the raw c∅, the machine's
@@ -62,20 +69,8 @@ func hashAttr(h *cache.Hasher, a soa.Attribute) {
 	h.Int(a.MaxUnits)
 }
 
-// negInstanceKey addresses tier 1: the space and constraint tables of
-// a negotiation, a function of (semiring, offer, requirement) only —
-// the acceptance bounds live in the checked transition, not the
-// tables.
-func negInstanceKey(srName string, offer, req soa.Attribute) cache.Key {
-	h := cache.NewHasher("neg-instance")
-	h.Str(srName)
-	hashAttr(h, offer)
-	hashAttr(h, req)
-	return h.Sum()
-}
-
-// negPlanKey addresses tier 3: the complete outcome of a negotiation
-// run, additionally keyed by the client's acceptance interval.
+// negPlanKey addresses the complete outcome of a negotiation run: a
+// function of (semiring, offer, requirement, acceptance interval).
 func negPlanKey(srName string, offer, req soa.Attribute, lower, upper *float64) cache.Key {
 	h := cache.NewHasher("neg-plan")
 	h.Str(srName)
@@ -101,12 +96,12 @@ func renegKey(hist cache.Key, newReq soa.Attribute, lower, upper *float64) cache
 	return h.Sum()
 }
 
-// negInstance is tier 1's cached value: everything negotiateOne
-// compiles before fuel starts burning. All fields are immutable after
-// construction — constraints and spaces are read-only by design, and
-// names/maxUnits/resourceVars are never written post-build — so one
-// instance is safely shared by concurrent negotiations and by every
-// session minted from it; each run gets its own fresh store.
+// negInstance is everything negotiateOne compiles before fuel starts
+// burning. All fields are immutable after construction — constraints
+// and spaces are read-only by design, and names/maxUnits/resourceVars
+// are never written post-build — so the instance a plan keeps is
+// safely shared by concurrent replays and by every session minted
+// from it; each run gets its own fresh store.
 type negInstance struct {
 	space        *core.Space[float64]
 	names        []string
@@ -118,7 +113,7 @@ type negInstance struct {
 	spCCon       *core.Constraint[float64]
 }
 
-// negPlan is tier 3's cached value for a whole negotiation run.
+// negPlan is the cached value for a whole negotiation run.
 type negPlan struct {
 	inst  *negInstance
 	offer soa.Attribute // content-equal to every hit's offer
@@ -144,7 +139,7 @@ type negPlan struct {
 	storeSnap *core.Store[float64] // final σ; Snapshot() per minted session
 }
 
-// renegPlan is tier 3's cached value for a renegotiation run on one
+// renegPlan is the cached value for a renegotiation run on one
 // session version.
 type renegPlan struct {
 	prog        journal.Program

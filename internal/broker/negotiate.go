@@ -137,15 +137,15 @@ func WithProviderFilter(f ProviderFilter) NegotiatorOption {
 }
 
 // WithNegotiatorSolveCache attaches a content-addressed solve cache.
-// The tables tier memoises the compiled negotiation instance (space
-// and constraint tables) per (semiring, offer, requirement); the
-// search tier memoises whole negotiation plans — status, transition
-// stream, final store — keyed additionally by the acceptance interval,
-// and renegotiation plans keyed by (session, version, new
-// requirement, bounds). The precheck's c∅ is recomputed per request:
-// the fold costs less than hashing its tables for a lookup. Cached and
-// cold negotiations are bit-identical: same outcome, same SLA, and
-// byte-for-byte the same journal segments. A nil cache disables
+// It memoises whole negotiation plans — status, transition stream,
+// final store — keyed by (semiring, offer, requirement, acceptance
+// interval), and renegotiation plans keyed by (session history, new
+// requirement, bounds). A plan is stored only on the second sighting
+// of its key (cache.Admit): the first runs cold and stores nothing,
+// so requests that never repeat cost no cache memory. The compiled
+// instance and the precheck's c∅ are recomputed per cold run. Cached
+// and cold negotiations are bit-identical: same outcome, same SLA,
+// and byte-for-byte the same journal segments. A nil cache disables
 // caching.
 func WithNegotiatorSolveCache(c *cache.Cache) NegotiatorOption {
 	return func(n *Negotiator) { n.cache = c }
@@ -285,9 +285,12 @@ func (n *Negotiator) negotiateOne(
 	offer soa.Attribute,
 ) (ProviderOutcome, *Session, error) {
 	j := journal.FromContext(ctx)
-	wantPlan := n.cache != nil
+	// wantPlan: this run captures its outcome and stores it as a plan.
+	// Only a key the doorkeeper has seen before earns one; a first
+	// sighting runs without capture and stores nothing.
+	var wantPlan bool
 	var planKey cache.Key
-	if wantPlan {
+	if n.cache != nil {
 		planKey = negPlanKey(sr.Name(), offer, req.Requirement, req.Lower, req.Upper)
 		if v, ok := n.cache.Get(cache.TierSearch, planKey); ok {
 			if pl, ok := v.(*negPlan); ok {
@@ -295,9 +298,10 @@ func (n *Negotiator) negotiateOne(
 				return po, sess, nil
 			}
 		}
+		wantPlan = n.cache.Admit(planKey)
 	}
 
-	inst, err := n.negInstanceFor(sr, req.Requirement, offer)
+	inst, err := newNegInstance(sr, req.Requirement, offer)
 	if err != nil {
 		return ProviderOutcome{}, nil, err
 	}
@@ -438,26 +442,17 @@ func (n *Negotiator) negotiateOne(
 	return po, sess, nil
 }
 
-// negInstanceFor compiles (or fetches from tier 1) the negotiation
-// instance for an (offer, requirement) pair: the space with one
-// variable per distinct resource name sized to cover both parties'
-// declared ranges plus the two sync flags, and the four constraint
-// tables the agents tell. The instance is immutable and shared; every
-// machine run gets its own store.
-func (n *Negotiator) negInstanceFor(
+// newNegInstance compiles the negotiation instance for an (offer,
+// requirement) pair: the space with one variable per distinct resource
+// name sized to cover both parties' declared ranges plus the two sync
+// flags, and the four constraint tables the agents tell. Each cold run
+// compiles its own; a plan keeps the instance it was built from, and
+// every session minted from the plan shares it read-only.
+func newNegInstance(
 	sr semiring.Semiring[float64],
 	reqAttr soa.Attribute,
 	offer soa.Attribute,
 ) (*negInstance, error) {
-	var key cache.Key
-	if n.cache != nil {
-		key = negInstanceKey(sr.Name(), offer, reqAttr)
-		if v, ok := n.cache.Get(cache.TierTables, key); ok {
-			if inst, ok := v.(*negInstance); ok {
-				return inst, nil
-			}
-		}
-	}
 	space := core.NewSpace[float64](sr)
 	maxUnits := map[string]int{offer.Resource: offer.MaxUnits}
 	if cur, ok := maxUnits[reqAttr.Resource]; !ok || reqAttr.MaxUnits > cur {
@@ -491,7 +486,7 @@ func (n *Negotiator) negInstanceFor(
 			return sr.Zero()
 		})
 	}
-	inst := &negInstance{
+	return &negInstance{
 		space:        space,
 		names:        names,
 		maxUnits:     maxUnits,
@@ -500,11 +495,7 @@ func (n *Negotiator) negInstanceFor(
 		reqCon:       reqCon,
 		spPCon:       flag(spP),
 		spCCon:       flag(spC),
-	}
-	if n.cache != nil {
-		n.cache.Put(cache.TierTables, key, inst)
-	}
-	return inst, nil
+	}, nil
 }
 
 // bestResources extracts the resource allocation attaining the

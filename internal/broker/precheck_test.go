@@ -63,7 +63,7 @@ func TestPrecheckVerdictsMatchPropagate(t *testing.T) {
 			want := map[string]string{}
 			for _, doc := range reg.Discover("svc") {
 				offer, _ := doc.Attr(metric)
-				inst, err := cold.negInstanceFor(sr, req.Requirement, offer)
+				inst, err := newNegInstance(sr, req.Requirement, offer)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +79,10 @@ func TestPrecheckVerdictsMatchPropagate(t *testing.T) {
 			}
 
 			outCold, jCold := precheckRun(t, cold, req)
-			for _, label := range []string{"miss", "hit"} {
+			// Plans are admitted on second sight: the first cached run
+			// stores nothing, the second stores the plan, the third
+			// replays it.
+			for _, label := range []string{"first sighting", "second sighting", "replay"} {
 				out, j := precheckRun(t, cached, req)
 				if !reflect.DeepEqual(out, outCold) || journalBytes(t, j) != journalBytes(t, jCold) {
 					t.Fatalf("%s/%d: %s negotiation differs from the cold one", metric, r, label)

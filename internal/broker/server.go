@@ -310,8 +310,8 @@ func WithStateStore(st store.Store) ServerOption {
 }
 
 // WithSolveCache installs the negotiator's content-addressed solve
-// cache (negotiation instances, negotiation and renegotiation
-// plans). By default the server creates its own
+// cache of negotiation and renegotiation plans, each admitted on the
+// second sighting of its key. By default the server creates its own
 // cache of defaultSolveCacheSize entries; pass an explicit cache to
 // share one across embedded brokers or to size it, or nil to disable
 // caching entirely. Cached and cold requests are bit-identical — same

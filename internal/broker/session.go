@@ -114,19 +114,22 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 	}
 
 	j := journal.FromContext(ctx)
+	// As in negotiateOne, only a key seen before earns a plan.
+	var wantPlan bool
 	var memoKey cache.Key
 	if s.cache != nil {
 		memoKey = renegKey(s.histKey, newReq, lower, upper)
 		if v, ok := s.cache.Get(cache.TierSearch, memoKey); ok {
 			// A success plan restores the cached post-run snapshot, so
 			// it is only usable by sessions over the same space object
-			// (plans can outlive their tier-1 instance in the LRU and a
-			// rebuilt instance is a fresh space; σ content is equal but
+			// (each cold negotiation compiles its own space, shared only
+			// by the sessions a plan replays into; σ content is equal but
 			// Restore is rightly strict). Mismatches fall through cold.
 			if pl, ok := v.(*renegPlan); ok && (pl.postSnap == nil || pl.postSnap.Space() == s.space) {
 				return s.replayRenegotiation(j, memoKey, newReq, newCon, pl)
 			}
 		}
+		wantPlan = s.cache.Admit(memoKey)
 	}
 
 	check := sccp.Check[float64]{LowerValue: lower, UpperValue: upper}
@@ -141,7 +144,6 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 
 	// The journal program is captured before the run mutates the
 	// session; the journal synthesises it only when read.
-	wantPlan := s.cache != nil
 	var prog journal.Program
 	var note string
 	if j != nil || wantPlan {

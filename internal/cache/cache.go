@@ -2,6 +2,7 @@ package cache
 
 import (
 	"container/list"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
@@ -11,24 +12,28 @@ import (
 type Tier int
 
 const (
-	// TierTables holds compiled constraint tables (negotiation spaces,
-	// offer/requirement constraints).
-	TierTables Tier = iota
 	// TierSearch holds search outcomes: negotiation and renegotiation
 	// plans.
-	TierSearch
+	TierSearch Tier = iota
 
 	numTiers
 )
 
-// TierFixpoint named the tier of propagation fixpoints. The
-// negotiator's precheck folds its c∅ directly now, so nothing is
-// stored under it: TierStats reports zeros for it, and Get and Put
-// must not be given it.
+// Retired tiers. Nothing is stored under them: TierStats reports
+// zeros for them, and Get and Put must not be given them.
 //
 // Deprecated: kept only while the benchmark harness's traced daemon
-// (_perfbench/tracedd) reads its counters; remove it with that read.
-const TierFixpoint Tier = numTiers
+// (_perfbench/tracedd) reads their counters; remove them with that
+// read.
+const (
+	// TierTables named the tier of compiled negotiation instances.
+	// Each cold negotiation compiles its own instance now: the tier
+	// hit almost never, and its entries crowded out plans.
+	TierTables Tier = numTiers + iota
+	// TierFixpoint named the tier of propagation fixpoints. The
+	// negotiator's precheck folds its c∅ directly instead.
+	TierFixpoint
+)
 
 // String returns the tier's metric label.
 func (t Tier) String() string {
@@ -52,7 +57,6 @@ type TierStats struct {
 
 // Stats is a point-in-time snapshot of every counter.
 type Stats struct {
-	Tables TierStats
 	Search TierStats
 }
 
@@ -88,18 +92,59 @@ type Cache struct {
 	capPerShard int
 	shards      [numShards]shard
 	stats       [numTiers]tierCounters
+
+	// seen is the admission doorkeeper (see Admit): a direct-mapped
+	// table of key tags, its length a power of two. A slot holds the
+	// tag of the last key that landed in it; zero means empty.
+	seen []atomic.Uint64
 }
 
 // New returns a cache bounded to roughly capacity entries (split
 // evenly across shards, so the effective bound rounds up to a
 // multiple of the shard count). A capacity <= 0 returns nil — the
 // always-miss cache — so callers can thread a size straight through.
+// The admission doorkeeper gets one 8-byte slot per entry, rounded up
+// to a power of two: a first sighting is forgotten once another key
+// lands in its slot, so it outlives about a cache-full of later first
+// sightings with odds 1/e. Four slots per entry measured higher peak
+// RSS on a workload whose keys repeat far sooner than that.
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
 	per := (capacity + numShards - 1) / numShards
-	return &Cache{capPerShard: per}
+	slots := 1
+	for slots < capacity {
+		slots <<= 1
+	}
+	return &Cache{capPerShard: per, seen: make([]atomic.Uint64, slots)}
+}
+
+// slot returns key's doorkeeper slot and the tag it leaves there. The
+// slot index and the tag come from disjoint bytes of the key; the tag
+// has its low bit set so that no key matches an empty slot.
+func (c *Cache) slot(key Key) (*atomic.Uint64, uint64) {
+	idx := binary.LittleEndian.Uint64(key[8:16]) & uint64(len(c.seen)-1)
+	return &c.seen[idx], binary.LittleEndian.Uint64(key[:8]) | 1
+}
+
+// Admit reports whether key has been seen before, and records this
+// sighting. It is the admission check of a TinyLFU-style doorkeeper:
+// a caller computes and stores a value only when Admit is true, so a
+// key that comes once costs no cache memory, and one that comes again
+// is stored on its second sighting. Two keys that share a slot evict
+// each other's tags, which only delays their admission; an unseen key
+// is admitted only if it matches the slot's whole tag, which for
+// content hashes is a 2^-63 chance. The table never grows. Admit on a
+// nil cache admits nothing.
+//
+//softsoa:hotpath
+func (c *Cache) Admit(key Key) bool {
+	if c == nil {
+		return false
+	}
+	s, tag := c.slot(key)
+	return s.Swap(tag) == tag
 }
 
 func (c *Cache) shardFor(key Key) *shard {
@@ -208,8 +253,5 @@ func (c *Cache) Snapshot() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	return Stats{
-		Tables: c.TierStats(TierTables),
-		Search: c.TierStats(TierSearch),
-	}
+	return Stats{Search: c.TierStats(TierSearch)}
 }

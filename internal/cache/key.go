@@ -3,7 +3,6 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"math"
 
 	"softsoa/internal/core"
@@ -19,38 +18,31 @@ type Key [sha256.Size]byte
 // vs "a"+"bc") cannot alias keys, and every Hasher starts from a
 // domain-separation tag so keys from different call sites (problem
 // hashes, negotiation plans, renegotiation plans) live in disjoint
-// keyspaces.
+// keyspaces. The content is buffered and hashed once, by Sum: a plan
+// key is about a hundred bytes, and buffering them costs one
+// allocation where streaming each field into a digest cost one per
+// field.
 type Hasher struct {
-	h   hash.Hash
-	buf [binary.MaxVarintLen64]byte
+	buf []byte
 }
 
 // NewHasher returns a hasher domain-separated by tag.
 func NewHasher(tag string) *Hasher {
-	h := &Hasher{h: sha256.New()}
+	h := &Hasher{buf: make([]byte, 0, 256)}
 	h.Str(tag)
 	return h
 }
 
-func (h *Hasher) uvarint(n uint64) {
-	k := binary.PutUvarint(h.buf[:], n)
-	//lint:ignore errcheck hash.Hash.Write never fails by contract
-	h.h.Write(h.buf[:k])
-}
+func (h *Hasher) uvarint(n uint64) { h.buf = binary.AppendUvarint(h.buf, n) }
 
 // Str writes a length-prefixed string.
 func (h *Hasher) Str(s string) {
 	h.uvarint(uint64(len(s)))
-	//lint:ignore errcheck hash.Hash.Write never fails by contract
-	h.h.Write([]byte(s))
+	h.buf = append(h.buf, s...)
 }
 
 // Int writes a signed integer.
-func (h *Hasher) Int(n int) {
-	k := binary.PutVarint(h.buf[:], int64(n))
-	//lint:ignore errcheck hash.Hash.Write never fails by contract
-	h.h.Write(h.buf[:k])
-}
+func (h *Hasher) Int(n int) { h.buf = binary.AppendVarint(h.buf, int64(n)) }
 
 // Uint64 writes an unsigned integer.
 func (h *Hasher) Uint64(n uint64) { h.uvarint(n) }
@@ -59,34 +51,25 @@ func (h *Hasher) Uint64(n uint64) { h.uvarint(n) }
 // compare equal but differ in bits (-0 vs 0) hash apart — the
 // conservative direction for a memo key.
 func (h *Hasher) Float(f float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-	//lint:ignore errcheck hash.Hash.Write never fails by contract
-	h.h.Write(b[:])
+	h.buf = binary.LittleEndian.AppendUint64(h.buf, math.Float64bits(f))
 }
 
 // Bool writes a boolean.
 func (h *Hasher) Bool(v bool) {
+	var b byte
 	if v {
-		//lint:ignore errcheck hash.Hash.Write never fails by contract
-		h.h.Write([]byte{1})
-	} else {
-		//lint:ignore errcheck hash.Hash.Write never fails by contract
-		h.h.Write([]byte{0})
+		b = 1
 	}
+	h.buf = append(h.buf, b)
 }
 
-// Floats writes a length-prefixed run of float64 bit patterns in a
-// single hash write — the bulk form of Float, sized for constraint
-// tables where per-value Write calls would dominate.
+// Floats writes a length-prefixed run of float64 bit patterns, the
+// bulk form of Float, sized for constraint tables.
 func (h *Hasher) Floats(vs []float64) {
 	h.uvarint(uint64(len(vs)))
-	buf := make([]byte, 8*len(vs))
-	for i, f := range vs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(f))
+	for _, f := range vs {
+		h.buf = binary.LittleEndian.AppendUint64(h.buf, math.Float64bits(f))
 	}
-	//lint:ignore errcheck hash.Hash.Write never fails by contract
-	h.h.Write(buf)
 }
 
 // FloatPtr writes an optional float64: presence then value.
@@ -99,11 +82,7 @@ func (h *Hasher) FloatPtr(f *float64) {
 
 // Sum finalises the key. The hasher may keep accumulating afterwards;
 // each Sum reflects everything written so far.
-func (h *Hasher) Sum() Key {
-	var k Key
-	h.h.Sum(k[:0])
-	return k
-}
+func (h *Hasher) Sum() Key { return sha256.Sum256(h.buf) }
 
 // ProblemKey hashes an SCSP's full content — semiring name, variables
 // with their domains, the variables of interest, and every constraint

@@ -3,10 +3,11 @@
 # drives one publish + negotiate through the v1 API, scrapes
 # /v1/metrics, asserts the metric families are present, then fetches
 # the negotiation's flight-recorder journal and verifies it with
-# softsoa-replay — both the HTTP copy and the -journal-dir dump. A
-# second identical negotiation must then replay from the solve cache
-# (cache_hits_total > 0) and still emit a journal that replays
-# exactly. The HTTP ?format=jsonl copy and the -journal-dir dump of
+# softsoa-replay — both the HTTP copy and the -journal-dir dump. The
+# solve cache admits a plan on the second sighting of its key, so a
+# second identical negotiation stores the plan and a third must
+# replay it (cache_hits_total > 0); both must still emit journals that
+# replay exactly. The HTTP ?format=jsonl copy and the -journal-dir dump of
 # the first negotiation and of one three-stage composition must be
 # the same bytes, and the composition journal must hold one solver
 # event per stage and drop none.
@@ -148,17 +149,22 @@ if ! grep '"t":"end"' "$HTTPCOPY" | grep -q '"dropped":0'; then
     exit 1
 fi
 
-# A second identical negotiation replays the memoised plan. Its
-# journal must still replay exactly, and the cache families must
-# show up on the next scrape with at least one hit.
-SLA2=$(curl -fsS -X POST "http://$ADDR/v1/negotiations" -d \
-    '<negotiate service="failmgmt" client="shop" metric="cost"><requirement metric="cost" base="0" perUnit="2" resource="failures" maxUnits="10"></requirement><lower>4</lower><upper>1</upper></negotiate>')
-SLA2_ID=$(printf '%s' "$SLA2" | sed -n 's/.*sla id="\([^"]*\)".*/\1/p')
-if [ -z "$SLA2_ID" ] || [ "$SLA2_ID" = "$SLA_ID" ]; then
-    echo "obs-smoke: repeat negotiation returned no fresh SLA id" >&2
-    exit 1
-fi
-curl -fsS "http://$ADDR/v1/negotiations/$SLA2_ID/journal?format=jsonl" | "$REPLAY" -
+# The second identical negotiation runs cold and stores its plan;
+# the third replays it. Both journals must still replay exactly, and
+# the cache families must show up on the next scrape with at least
+# one hit.
+PREV_ID=$SLA_ID
+for sighting in second third; do
+    SLA2=$(curl -fsS -X POST "http://$ADDR/v1/negotiations" -d \
+        '<negotiate service="failmgmt" client="shop" metric="cost"><requirement metric="cost" base="0" perUnit="2" resource="failures" maxUnits="10"></requirement><lower>4</lower><upper>1</upper></negotiate>')
+    SLA2_ID=$(printf '%s' "$SLA2" | sed -n 's/.*sla id="\([^"]*\)".*/\1/p')
+    if [ -z "$SLA2_ID" ] || [ "$SLA2_ID" = "$PREV_ID" ]; then
+        echo "obs-smoke: $sighting negotiation returned no fresh SLA id" >&2
+        exit 1
+    fi
+    curl -fsS "http://$ADDR/v1/negotiations/$SLA2_ID/journal?format=jsonl" | "$REPLAY" -
+    PREV_ID=$SLA2_ID
+done
 
 curl -fsS "http://$ADDR/v1/metrics" >"$METRICS"
 for family in cache_hits_total cache_misses_total cache_entries; do
