@@ -1,4 +1,4 @@
-.PHONY: all build test race vet lint lint-sarif lint-debt fuzz cover bench bench-go bench-cache bench-par obs-smoke load-smoke replay-check crash-recovery clean
+.PHONY: all build test race vet lint lint-sarif lint-debt fuzz cover bench bench-go bench-cache obs-smoke load-smoke replay-check crash-recovery clean
 
 all: build vet lint test
 
@@ -44,7 +44,7 @@ cover:
 	go tool cover -func=coverage.out | tail -1
 
 # Reproducible benchmark report: E-series anchors, the indexed-eval
-# ablation, and the workload grid sequential vs parallel. Writes
+# ablation, and the branch-and-bound workload grid. Writes
 # BENCH_pr3.json (no timestamps, so reruns diff cleanly).
 bench:
 	go run ./cmd/softsoa-bench -out BENCH_pr3.json
@@ -59,15 +59,6 @@ bench-go:
 # snapshots.
 bench-cache:
 	go run ./cmd/softsoa-bench -short -cache -out BENCH_pr8.json
-
-# Work-stealing scaling table: every workload-grid instance solved at
-# 1/2/4/8 workers, full result (blevel, frontier, assignments)
-# asserted identical to the 1-worker reference before timing; rows
-# carry speedup and the steal/split counters. Timestamp-free like the
-# other reports; the speedups are whatever the current machine's core
-# count yields.
-bench-par:
-	go run ./cmd/softsoa-bench -scaling 1,2,4,8 -out BENCH_pr9.json
 
 # End-to-end observability smoke: boot brokerd with the ops listener
 # and a journal directory, scrape /v1/metrics, fetch the negotiation's

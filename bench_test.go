@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 
 	"softsoa/internal/broker"
@@ -239,12 +238,6 @@ func BenchmarkE10SolverScaling(b *testing.B) {
 				solver.BranchAndBound(p)
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/bb-par", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				solver.BranchAndBound(p, solver.WithWorkers(benchWorkers()))
-			}
-		})
 		b.Run(fmt.Sprintf("n=%d/bb-lookahead", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				solver.BranchAndBound(p, solver.WithLookahead())
@@ -416,16 +409,6 @@ func BenchmarkE15Propagation(b *testing.B) {
 			solver.BranchAndBound(p, solver.WithPropagation(0))
 		}
 	})
-}
-
-// benchWorkers picks the worker count for parallel solver benchmarks:
-// every hardware thread, but at least two so the parallel code path is
-// exercised even on a single-core runner.
-func benchWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n > 2 {
-		return n
-	}
-	return 2
 }
 
 // BenchmarkE16CoalitionAnneal compares exact and annealed coalition

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	scspsolve [-solver bb|exhaustive|ve|ls] [-seed N] [-workers N] problem.scsp
+//	scspsolve [-solver bb|exhaustive|ve|ls] [-seed N] [-propagate] problem.scsp
 package main
 
 import (
@@ -27,11 +27,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for local search")
 	propagate := flag.Bool("propagate", false,
 		"preprocess with soft arc/node-consistency propagation (equivalence-preserving)")
-	workers := flag.Int("workers", 1,
-		"work-stealing workers for branch and bound (0 = all CPUs, 1 = sequential reference)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: scspsolve [-solver bb|exhaustive|ve|ls] [-seed N] [-workers N] problem.scsp")
+		fmt.Fprintln(os.Stderr, "usage: scspsolve [-solver bb|exhaustive|ve|ls] [-seed N] [-propagate] problem.scsp")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -54,7 +52,7 @@ func main() {
 	var res solver.Result[float64]
 	switch *solverName {
 	case "bb":
-		res = solver.BranchAndBound(target, solver.WithWorkers(*workers))
+		res = solver.BranchAndBound(target)
 	case "exhaustive":
 		res = solver.Exhaustive(target)
 	case "ve":

@@ -1,20 +1,12 @@
 // Command softsoa-bench runs the repository's reproducible benchmark
 // suite and writes a machine-readable JSON report: the E-series
 // anchors (Fig. 1 search, solver scaling, propagation), the
-// indexed-evaluation ablation behind PR 3, and the workload grid
-// solved sequentially and in parallel to measure speedup.
+// indexed-evaluation ablation, and the workload grid solved by branch
+// and bound to measure search throughput.
 //
 // Usage:
 //
-//	softsoa-bench [-out BENCH_pr3.json] [-short] [-parallel N] [-cache]
-//	softsoa-bench -scaling 1,2,4,8 [-out BENCH_pr9.json] [-short]
-//
-// With -scaling the suite is replaced by the work-stealing scaling
-// table: every workload-grid instance is solved once per worker count
-// with the full result (blevel, frontier values and assignments)
-// asserted identical to the 1-worker reference before anything is
-// timed, then timed per count with speedup, steal and split counters
-// on each row.
+//	softsoa-bench [-out BENCH_pr3.json] [-short] [-cache]
 //
 // The report deliberately carries no timestamps or hostnames — only
 // toolchain and shape metadata — so reruns on the same machine diff
@@ -28,8 +20,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"softsoa/internal/core"
@@ -48,19 +38,9 @@ type Entry struct {
 	// the instance (identical every run: the search is deterministic).
 	Nodes  int64 `json:"nodes,omitempty"`
 	Prunes int64 `json:"prunes,omitempty"`
-	// Tasks, Steals and Splits are the work-stealing scheduler
-	// counters of a single solve (0 for sequential rows). Unlike the
-	// returned result they depend on scheduling timing, so they vary
-	// run to run; the stamped values are one representative solve.
-	Tasks  int64 `json:"tasks,omitempty"`
-	Steals int64 `json:"steals,omitempty"`
-	Splits int64 `json:"splits,omitempty"`
-	// Workers is the worker count of a scaling-table row.
-	Workers int `json:"workers,omitempty"`
 	// Speedup is the ratio of the matching baseline entry's ns/op to
-	// this entry's: the sequential solve for parallel rows, the
-	// assignment-path evaluation for the indexed ablation row, the
-	// cold partner for the solve-cache rows.
+	// this entry's: the assignment-path evaluation for the indexed
+	// ablation row, the cold partner for the solve-cache rows.
 	Speedup float64 `json:"speedup,omitempty"`
 	// HitRate is the fraction of cache lookups the timed loop served
 	// from the cache (solve-cache hot rows only).
@@ -74,33 +54,22 @@ type Report struct {
 	GOARCH     string  `json:"goarch"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	Short      bool    `json:"short"`
-	Workers    int     `json:"workers"`
-	Scaling    []int   `json:"scaling,omitempty"`
 	Entries    []Entry `json:"entries"`
 }
 
 func main() {
 	out := flag.String("out", "BENCH_pr3.json", "report file ('-' for stdout)")
 	short := flag.Bool("short", false, "run only the CI-sized workload grid")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"workers for the parallel rows (minimum 2: the sequential rows are the 1-worker reference)")
 	withCache := flag.Bool("cache", false,
 		"add the solve-cache group: cold vs replayed negotiation/renegotiation plans")
-	scaling := flag.String("scaling", "",
-		"comma-separated worker counts (e.g. 1,2,4,8): emit only the work-stealing scaling table over the workload grid")
 	flag.Parse()
 
-	workers := *parallel
-	if workers < 2 {
-		workers = 2
-	}
 	rep := Report{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Short:      *short,
-		Workers:    workers,
 		Entries:    []Entry{},
 	}
 
@@ -119,17 +88,6 @@ func main() {
 		return e
 	}
 	last := func() *Entry { return &rep.Entries[len(rep.Entries)-1] }
-
-	if *scaling != "" {
-		counts, err := parseCounts(*scaling)
-		if err != nil {
-			log.Fatalf("softsoa-bench: -scaling: %v", err)
-		}
-		rep.Scaling = counts
-		scalingTable(&rep, bench, last, *short, counts)
-		writeReport(&rep, *out)
-		return
-	}
 
 	// E-series anchors.
 	fig1 := fig1Problem()
@@ -160,33 +118,19 @@ func main() {
 	// addressing differs.
 	ablation(&rep, bench, e15)
 
-	// Workload grid: sequential reference vs parallel, identical
-	// results asserted, speedup recorded on the parallel row.
+	// Workload grid: branch and bound over the graded instances.
 	for _, params := range workload.BenchParams(*short) {
 		p, err := workload.RandomWeightedSCSP(params)
 		if err != nil {
 			log.Fatalf("softsoa-bench: %v", err)
 		}
 		tag := fmt.Sprintf("workload/v%d-d%d-s%d", params.Vars, params.DomainSize, params.Seed)
-		seqRes := solver.BranchAndBound(p, solver.WithWorkers(1))
-		parRes := solver.BranchAndBound(p, solver.WithWorkers(workers))
-		if seqRes.Blevel != parRes.Blevel || len(seqRes.Best) != len(parRes.Best) {
-			log.Fatalf("softsoa-bench: %s: parallel result diverged (blevel %v vs %v, %d vs %d solutions)",
-				tag, seqRes.Blevel, parRes.Blevel, len(seqRes.Best), len(parRes.Best))
-		}
-		seq := bench(tag+"/seq", func(b *testing.B) {
+		bench(tag+"/seq", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				solver.BranchAndBound(p, solver.WithWorkers(1))
+				solver.BranchAndBound(p)
 			}
 		})
-		stamp(last(), seqRes)
-		bench(fmt.Sprintf("%s/par%d", tag, workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				solver.BranchAndBound(p, solver.WithWorkers(workers))
-			}
-		})
-		stamp(last(), parRes)
-		last().Speedup = round3(seq.NsPerOp / last().NsPerOp)
+		stamp(last(), solver.BranchAndBound(p))
 	}
 
 	if *withCache {
@@ -214,94 +158,10 @@ func writeReport(rep *Report, out string) {
 	fmt.Printf("wrote %s (%d entries)\n", out, len(rep.Entries))
 }
 
-// parseCounts parses the -scaling worker list.
-func parseCounts(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", part)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
-}
-
-// scalingTable times every workload-grid instance once per worker
-// count. Before any timing, each parallel solve's full result —
-// blevel, frontier values and assignments — is asserted identical to
-// the 1-worker reference; a divergence aborts the run. Speedup on
-// each row is relative to the instance's first count in the list
-// (conventionally 1, the sequential reference).
-func scalingTable(rep *Report, bench func(string, func(*testing.B)) Entry, last func() *Entry, short bool, counts []int) {
-	for _, params := range workload.BenchParams(short) {
-		p, err := workload.RandomWeightedSCSP(params)
-		if err != nil {
-			log.Fatalf("softsoa-bench: %v", err)
-		}
-		tag := fmt.Sprintf("scaling/v%d-d%d-s%d", params.Vars, params.DomainSize, params.Seed)
-		ref := solver.BranchAndBound(p, solver.WithWorkers(1))
-		var base float64
-		for i, w := range counts {
-			w := w
-			res := solver.BranchAndBound(p, solver.WithWorkers(w))
-			assertSameSolve(p, tag, w, ref, res)
-			bench(fmt.Sprintf("%s/w%d", tag, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					solver.BranchAndBound(p, solver.WithWorkers(w))
-				}
-			})
-			e := last()
-			stamp(e, res)
-			e.Steals = res.Stats.Steals
-			e.Splits = res.Stats.Splits
-			e.Workers = w
-			if i == 0 {
-				base = e.NsPerOp
-			} else {
-				e.Speedup = round3(base / e.NsPerOp)
-			}
-		}
-	}
-}
-
-// assertSameSolve verifies a parallel result is bitwise identical to
-// the sequential reference: blevel, frontier order, every frontier
-// value and every assignment label.
-func assertSameSolve(p *core.Problem[float64], tag string, workers int, want, got solver.Result[float64]) {
-	sr := p.Space().Semiring()
-	if !sr.Eq(want.Blevel, got.Blevel) {
-		log.Fatalf("softsoa-bench: %s/w%d: blevel %s, want %s",
-			tag, workers, sr.Format(got.Blevel), sr.Format(want.Blevel))
-	}
-	if len(want.Best) != len(got.Best) {
-		log.Fatalf("softsoa-bench: %s/w%d: frontier size %d, want %d",
-			tag, workers, len(got.Best), len(want.Best))
-	}
-	for i := range want.Best {
-		if !sr.Eq(want.Best[i].Value, got.Best[i].Value) {
-			log.Fatalf("softsoa-bench: %s/w%d: frontier[%d] value %s, want %s",
-				tag, workers, i, sr.Format(got.Best[i].Value), sr.Format(want.Best[i].Value))
-		}
-		wa, ga := want.Best[i].Assignment, got.Best[i].Assignment
-		if len(wa) != len(ga) {
-			log.Fatalf("softsoa-bench: %s/w%d: frontier[%d] assignment size %d, want %d",
-				tag, workers, i, len(ga), len(wa))
-		}
-		for v, dv := range wa {
-			if ga[v].Label != dv.Label {
-				log.Fatalf("softsoa-bench: %s/w%d: frontier[%d] %s=%s, want %s",
-					tag, workers, i, v, ga[v].Label, dv.Label)
-			}
-		}
-	}
-}
-
 // stamp copies the deterministic search statistics onto an entry.
 func stamp[T any](e *Entry, res solver.Result[T]) {
 	e.Nodes = res.Stats.Nodes
 	e.Prunes = res.Stats.Prunes
-	e.Tasks = res.Stats.Tasks
 }
 
 // ablation benches EvalAll over digit vectors against At over

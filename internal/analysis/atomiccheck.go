@@ -12,10 +12,11 @@ import (
 // anywhere in the module must be accessed atomically everywhere, and
 // fields of the typed atomic kinds (atomic.Int64, atomic.Pointer[T],
 // ...) must only be touched through their methods. A mixed plain
-// read/write is exactly the torn-access bug class the parallel
-// solver's lock-free incumbent bound risks: one goroutine publishing
-// through atomic.Pointer while another reads the word directly is a
-// data race the type system cannot see. The check is module-wide —
+// read/write is exactly the torn-access bug class the solve cache's
+// admission doorkeeper (cache.Admit's atomic.Uint64 slots) and its
+// hit/miss counters risk: one goroutine swapping a word atomically
+// while another reads it directly is a data race the type system
+// cannot see. The check is module-wide —
 // the atomic use and the plain use are usually in different functions,
 // often in different packages.
 var AtomicCheck = &Analyzer{

@@ -56,9 +56,9 @@ var importAllowlist = map[string]bool{
 // (thread a *rand.Rand seeded from configuration), loops whose output
 // order depends on map iteration order, and concurrency whose output
 // order depends on scheduling. Worker-pool goroutines and sync/atomic
-// incumbents are explicitly allowed — the parallel solver relies on
-// them — iff each goroutine publishes into its own index-addressed
-// slot (results[i] = …) and the merge happens after the pool drains;
+// incumbents are explicitly allowed iff each goroutine publishes into
+// its own index-addressed slot (results[i] = …) and the merge happens
+// after the pool drains;
 // goroutines that append to (or concatenate into) captured variables,
 // and collectors that append while ranging over a channel, publish in
 // completion order and are flagged.

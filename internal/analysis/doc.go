@@ -61,7 +61,7 @@
 //     and the typed atomics (atomic.Int64, atomic.Pointer[T], ...)
 //     may only be touched through their methods. A plain read beside
 //     an atomic write is a torn access — the exact bug class the
-//     parallel solver's lock-free incumbent antichain risks.
+//     solve cache's lock-free admission slots (cache.Admit) risk.
 //
 //   - lockorder: the whole-module lock-acquisition graph (edge a→b
 //     when b is locked while a is held, resolved through the call

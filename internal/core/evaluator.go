@@ -13,9 +13,8 @@ type Evaluator[T any] struct {
 	// scope variable of constraint k; strides[k][j] its table stride.
 	scopeVars [][]int
 	strides   [][]int
-	// tables[k] is constraint k's flat value table. Shared with the
-	// constraint by default; Localize rebuilds them in a private,
-	// contiguous arena.
+	// tables[k] is constraint k's flat value table, shared with the
+	// constraint.
 	tables [][]T
 }
 
@@ -40,45 +39,6 @@ func NewEvaluator[T any](s *Space[T], cs []*Constraint[T]) *Evaluator[T] {
 		e.tables[k] = c.table
 	}
 	return e
-}
-
-// localizeLineElems pads each localized table start to a multiple of
-// this many elements: 8 carrier values span one 64-byte cache line for
-// the ubiquitous float64/int64 carriers, so two tables never share a
-// line in a localized arena.
-const localizeLineElems = 8
-
-// Localize returns an evaluator over the same space, constraints and
-// strides whose value tables are copied into one private, contiguous
-// arena with each table start padded to a cache-line boundary. The
-// parallel solver gives every worker its own localized evaluator so
-// the inner-loop table reads hit worker-local memory laid out in scan
-// order, instead of constraint tables scattered across the heap and
-// shared between cores. Values are copies of immutable tables, so
-// evaluation results are bit-identical to the original's.
-func (e *Evaluator[T]) Localize() *Evaluator[T] {
-	pad := func(n int) int {
-		return (n + localizeLineElems - 1) / localizeLineElems * localizeLineElems
-	}
-	total := 0
-	for _, t := range e.tables {
-		total += pad(len(t))
-	}
-	clone := &Evaluator[T]{
-		space:       e.space,
-		constraints: e.constraints,
-		scopeVars:   e.scopeVars,
-		strides:     e.strides,
-		tables:      make([][]T, len(e.tables)),
-	}
-	arena := make([]T, total)
-	off := 0
-	for k, t := range e.tables {
-		copy(arena[off:], t)
-		clone.tables[k] = arena[off : off+len(t) : off+len(t)]
-		off += pad(len(t))
-	}
-	return clone
 }
 
 // NumConstraints returns the number of constraints evaluated.

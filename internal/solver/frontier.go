@@ -9,9 +9,7 @@ import (
 // so far, as digit-vector snapshots rather than materialised
 // Assignments, so the search inner loop never allocates: displaced
 // snapshots park their buffers on a free list for later admissions.
-// max ≤ 0 means unbounded, used for the parallel solver's per-task
-// local frontiers (the WithMaxBest cap is applied once, at the
-// deterministic merge, so parallel results replay sequential ones).
+// max ≤ 0 means unbounded.
 type digitFrontier[T any] struct {
 	sr   semiring.Semiring[T]
 	max  int
@@ -87,14 +85,5 @@ func (f *digitFrontier[T]) solutions(ev *core.Evaluator[T]) []Solution[T] {
 	for i, s := range f.sol {
 		out[i] = Solution[T]{Assignment: ev.Assignment(s.digits), Value: s.value}
 	}
-	return out
-}
-
-// take hands the accumulated entries to the caller and resets the
-// frontier for the next task; free-list buffers are retained but
-// handed-off snapshots are not recycled.
-func (f *digitFrontier[T]) take() []digitSol[T] {
-	out := f.sol
-	f.sol = nil
 	return out
 }

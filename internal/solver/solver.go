@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"runtime"
 	"sort"
 	"time"
 
@@ -13,28 +12,10 @@ import (
 // Stats records the work a solver performed.
 type Stats struct {
 	// Nodes is the number of search nodes expanded (assignments tried
-	// for exhaustive/local search; partial assignments for B&B). With
-	// WithWorkers the count depends on which bounds each worker saw
-	// when, so it is comparable to sequential only modulo scheduling.
+	// for exhaustive/local search; partial assignments for B&B).
 	Nodes int64
-	// Prunes is the number of subtrees cut by the bound (B&B only;
-	// modulo scheduling under WithWorkers, like Nodes).
+	// Prunes is the number of subtrees cut by the bound (B&B only).
 	Prunes int64
-	// Tasks is the number of subtree tasks the work-stealing scheduler
-	// executed (0 for sequential solves). Adaptive splitting creates
-	// tasks on steal demand, so the count depends on scheduling, like
-	// Nodes and Prunes; the solved result does not.
-	Tasks int64
-	// Workers is the resolved worker count the solve ran with (1 for
-	// the sequential path). Deterministic.
-	Workers int
-	// Steals is the number of tasks workers took from another
-	// worker's deque (scheduling-dependent; 0 for sequential solves).
-	Steals int64
-	// Splits is the number of spill events: a busy worker packaging
-	// its unexplored sibling range into a stealable task because some
-	// worker was hungry (scheduling-dependent; 0 for sequential).
-	Splits int64
 	// TablesBuilt is the number of intermediate constraint tables
 	// materialised (variable elimination only).
 	TablesBuilt int64
@@ -71,7 +52,6 @@ type config struct {
 	lookahead  bool
 	degree     bool
 	maxBest    int
-	workers    int
 	propagate  bool
 	propRounds int
 	restarts   int
@@ -81,7 +61,7 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{prune: true, maxBest: 16, workers: 1, restarts: 8, steps: 400, seed: 1, clock: clock.Wall}
+	return config{prune: true, maxBest: 16, restarts: 8, steps: 400, seed: 1, clock: clock.Wall}
 }
 
 // WithoutPruning disables the branch-and-bound upper bound test; the
@@ -107,29 +87,6 @@ func WithLookahead() Option { return func(c *config) { c.lookahead = true } }
 // WithMaxBest caps how many co-optimal solutions are retained
 // (default 16). The blevel is exact regardless.
 func WithMaxBest(n int) Option { return func(c *config) { c.maxBest = n } }
-
-// WithWorkers runs branch and bound on n work-stealing workers; 0
-// resolves to runtime.GOMAXPROCS(0) at solve time, and n == 1 is the
-// sequential reference path with zero scheduling machinery (other
-// solvers ignore the option). Each worker owns a lock-free deque of
-// subtree tasks and a localized copy of the constraint tables; busy
-// workers adaptively split — spilling unexplored sibling ranges for
-// thieves — whenever another worker runs dry, and all workers prune
-// against a shared lock-free incumbent antichain re-read periodically
-// (speculative bound sharing). Blevel and Best are identical to the
-// sequential solver — bit-identical for totally ordered semirings,
-// and for partially ordered ones whenever the WithMaxBest cap does
-// not bind (an antichain wider than the cap can resolve ties
-// differently). Nodes, Prunes, Tasks, Steals and Splits depend on
-// scheduling.
-func WithWorkers(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		c.workers = n
-	}
-}
 
 // WithPropagation runs Propagate for up to maxRounds sweeps (0 means
 // the default cap) before branch and bound: the zero-arity c∅ bound
@@ -206,28 +163,19 @@ func BranchAndBound[T any](p *core.Problem[T], opts ...Option) Result[T] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
 	start := cfg.clock.Now()
 	prob := p
 	if cfg.propagate {
 		prob, _, _ = Propagate(p, cfg.propRounds)
 	}
-	pl := newPlan(prob, &cfg)
-	var res Result[T]
-	if cfg.workers > 1 && pl.n > 0 {
-		res = solveParallel(pl, cfg.workers)
-	} else {
-		res = solveSequential(pl)
-	}
+	res := solvePlan(newPlan(prob, &cfg))
 	res.Stats.Elapsed = cfg.clock.Since(start)
 	return res
 }
 
 // plan holds the static artifacts of a branch-and-bound run — the
 // variable ordering, the constraint folding schedule, the lookahead
-// products and the root bound — shared read-only by every worker.
+// products and the root bound — read-only during the search.
 type plan[T any] struct {
 	sr    semiring.Semiring[T]
 	ev    *core.Evaluator[T]
@@ -333,9 +281,8 @@ func newPlan[T any](p *core.Problem[T], cfg *config) *plan[T] {
 	return pl
 }
 
-// bbSearch is the sequential depth-first searcher: its digit vector,
-// capped frontier and counters. The work-stealing workers carry their
-// own twin state (see wsWorker in parallel.go).
+// bbSearch is the depth-first searcher: its digit vector, capped
+// frontier and counters.
 type bbSearch[T any] struct {
 	pl     *plan[T]
 	digits []int
@@ -384,9 +331,8 @@ func (s *bbSearch[T]) run(depth int, bound T) {
 	}
 }
 
-func solveSequential[T any](pl *plan[T]) Result[T] {
+func solvePlan[T any](pl *plan[T]) Result[T] {
 	res := Result[T]{Blevel: pl.sr.Zero()}
-	res.Stats.Workers = 1
 	fr := newDigitFrontier[T](pl.sr, pl.maxBest)
 	if pl.n == 0 {
 		res.Blevel = pl.rootBound

@@ -1,8 +1,8 @@
 package workload
 
 // BenchParams returns the graded random-SCSP instance grid that
-// cmd/softsoa-bench solves to measure search throughput and parallel
-// speedup: instances vary variables, domain size and density, with
+// cmd/softsoa-bench solves to measure search throughput: instances
+// vary variables, domain size and density, with
 // fixed seeds so every run (and every machine) solves the same
 // problems. short selects the subset small enough for CI.
 func BenchParams(short bool) []SCSPParams {
