@@ -1,4 +1,4 @@
-.PHONY: all build test race vet lint lint-sarif lint-debt fuzz cover bench bench-go bench-cache obs-smoke load-smoke replay-check crash-recovery clean
+.PHONY: all build test race vet lint lint-sarif lint-debt fuzz cover bench bench-go bench-cache obs-smoke replay-check crash-recovery clean
 
 all: build vet lint test
 
@@ -10,8 +10,13 @@ build:
 # ctxfirst, lockcheck, errcheck, gohygiene, writecheck) plus four
 # interprocedural ones over the module call graph (atomiccheck,
 # lockorder, leakcheck, hotpath). Exits 0 clean, 1 with findings,
-# 2 on usage/load errors.
+# 2 on usage/load errors. Before it, gofmt must list no tracked Go
+# file (tracked only, so module caches under .bench_build are skipped).
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; \
+	fi
 	go run ./cmd/softsoa-lint ./...
 
 # Same findings as a SARIF 2.1.0 log, for code-scanning upload.
@@ -54,9 +59,9 @@ bench-go:
 	go test -bench . -benchtime 1x -run '^$$' .
 
 # Solve-cache report: the CI-sized grid plus the cache group — cold vs
-# replayed negotiation/renegotiation plans. Every hot row asserts result equality with its cold partner
-# before timing and records the speedup; ratios are machine-dependent
-# snapshots.
+# replayed negotiation plans. Every hot row asserts result equality
+# with its cold partner before timing and records the speedup; ratios
+# are machine-dependent snapshots.
 bench-cache:
 	go run ./cmd/softsoa-bench -short -cache -out BENCH_pr8.json
 
@@ -65,13 +70,6 @@ bench-cache:
 # flight-recorder journal, and replay it with softsoa-replay.
 obs-smoke:
 	./scripts/obs-smoke.sh
-
-# Standing-load smoke: boot brokerd with the SLO reconciler on a fast
-# sweep, drive it with softsoa-load for ~5s (open-loop Poisson
-# arrivals), and assert nonzero negotiations, every slo_* metric
-# family, and a live /v1/debug/slo snapshot.
-load-smoke:
-	./scripts/load-smoke.sh
 
 # E21 durability check: SIGKILL a brokerd mid-traffic (plus a torn
 # WAL frame) and a SIGTERM drain, then compare the recovered state

@@ -1,10 +1,11 @@
 package main
 
 // The -cache group measures the negotiator's content-addressed solve
-// cache end to end: full negotiation / renegotiation plan replay
-// through the broker. Every hot row solves the identical input as its
-// cold partner — equality is asserted before timing — and records its
-// speedup against the cold row.
+// cache end to end: full negotiation plan replay through the broker.
+// Renegotiations are not cached, so the group has no renegotiation
+// rows. The hot row solves the identical input as its cold partner —
+// equality is asserted before timing — and records its speedup
+// against the cold row.
 // Absolute ratios are machine-dependent: treat a committed report as
 // one machine's snapshot, not a portable constant.
 
@@ -50,46 +51,6 @@ func cacheBenches(rep *Report, bench func(string, func(*testing.B)) Entry) {
 	bench("cache/negotiate/hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustNegotiate(ctx, nHot, req)
-		}
-	})
-	last().Speedup = round3(cold.NsPerOp / last().NsPerOp)
-	last().HitRate = hitRate(hc, h0, m0)
-
-	// Perturbed renegotiation, end to end: mint a session, then
-	// renegotiate to a tightened requirement. Hot iterations replay
-	// both the negotiation plan and the history-keyed renegotiation
-	// memo (the session's history key is content-derived, so every
-	// session from the same template shares the plans).
-	newReq := req.Requirement
-	newReq.Base = 4
-	renegotiated := func(n *broker.Negotiator) *soa.SLA {
-		_, sess, _, err := n.NegotiateSession(ctx, req)
-		if err != nil || sess == nil {
-			log.Fatalf("softsoa-bench: bench negotiation failed: %v", err)
-		}
-		sla, err := sess.Renegotiate(ctx, newReq, nil, nil)
-		if err != nil || sla == nil {
-			log.Fatalf("softsoa-bench: bench renegotiation failed: %v", err)
-		}
-		return sla
-	}
-	rCold := renegotiated(nCold)
-	renegotiated(nHot) // prime the renegotiation plan: first sighting
-	renegotiated(nHot) // second sighting, stores it
-	rHot := renegotiated(nHot)
-	if rCold.AgreedLevel != rHot.AgreedLevel || rCold.Version != rHot.Version {
-		log.Fatalf("softsoa-bench: replayed renegotiation diverged (level %v vs %v)",
-			rHot.AgreedLevel, rCold.AgreedLevel)
-	}
-	cold = bench("cache/renegotiate/cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			renegotiated(nCold)
-		}
-	})
-	h0, m0 = tierTotals(hc)
-	bench("cache/renegotiate/hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			renegotiated(nHot)
 		}
 	})
 	last().Speedup = round3(cold.NsPerOp / last().NsPerOp)

@@ -61,7 +61,7 @@ func main() {
 	out := flag.String("out", "BENCH_pr3.json", "report file ('-' for stdout)")
 	short := flag.Bool("short", false, "run only the CI-sized workload grid")
 	withCache := flag.Bool("cache", false,
-		"add the solve-cache group: cold vs replayed negotiation/renegotiation plans")
+		"add the solve-cache group: cold vs replayed negotiation plans")
 	flag.Parse()
 
 	rep := Report{

@@ -81,8 +81,8 @@
 //     same-package callees (transitively) must not allocate. The
 //     directive sits in the doc comment of the function it covers:
 //
-//       //softsoa:hotpath
-//       func (c *Constraint[T]) AtIndex(digits []int) T { ... }
+//     //softsoa:hotpath
+//     func (c *Constraint[T]) AtIndex(digits []int) T { ... }
 //
 //     Flagged: make, new, composite literals, append into slices the
 //     function does not own, function literals (closure allocation),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -156,13 +157,12 @@ func renegotiateJournaled(t *testing.T, s *Session, newReq soa.Attribute, lower,
 	return sla, journalBytes(t, j)
 }
 
-// TestCachedRenegotiationBitIdentical: sessions negotiated from the
-// same template share a history key, so once a sibling's
-// renegotiation has been admitted and stored, the next session's
-// renegotiation replays it — and must match a cache-less session's
-// renegotiation byte for byte. Admission on second sight takes three
-// sessions: the first renegotiation stores nothing, the second (the
-// "miss") stores the plan, the third hits.
+// TestCachedRenegotiationBitIdentical: sessions minted from the first,
+// the admitting and a replayed negotiation of one request renegotiate
+// exactly as a cold session — same SLA, journal bytes, level and
+// version. Renegotiations themselves are never cached, so none of them
+// touches the plan cache, and a follow-up renegotiation on the
+// replayed session keeps working.
 func TestCachedRenegotiationBitIdentical(t *testing.T) {
 	req := cacheTestRequest()
 	newReq := soa.Attribute{
@@ -181,13 +181,17 @@ func TestCachedRenegotiationBitIdentical(t *testing.T) {
 	nCached := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
 	_, sessA, _, _ := negotiateJournaled(t, nCached, req)
 	_, sessB, _, _ := negotiateJournaled(t, nCached, req)
+	before := c.TierStats(cache.TierSearch).Hits
 	_, sessC, _, _ := negotiateJournaled(t, nCached, req)
+	if c.TierStats(cache.TierSearch).Hits <= before {
+		t.Fatal("third negotiation did not replay a plan")
+	}
+	statsBefore := c.TierStats(cache.TierSearch)
 	slaFirst, jFirst := renegotiateJournaled(t, sessA, newReq, nil, nil)
 	slaMiss, jMiss := renegotiateJournaled(t, sessB, newReq, nil, nil)
-	before := c.TierStats(cache.TierSearch).Hits
 	slaHit, jHit := renegotiateJournaled(t, sessC, newReq, nil, nil)
-	if c.TierStats(cache.TierSearch).Hits <= before {
-		t.Fatal("sibling session's renegotiation did not hit the plan cache")
+	if got := c.TierStats(cache.TierSearch); got != statsBefore {
+		t.Errorf("renegotiations touched the plan cache: %+v, before %+v", got, statsBefore)
 	}
 
 	if jFirst != jCold || jMiss != jCold || jHit != jCold {
@@ -204,8 +208,6 @@ func TestCachedRenegotiationBitIdentical(t *testing.T) {
 			sessC.AgreedLevel(), sessC.Version(), sessCold.AgreedLevel(), sessCold.Version())
 	}
 
-	// A further renegotiation on the replayed session must keep
-	// working — its history key advanced with the replay.
 	sla2, _ := renegotiateJournaled(t, sessC, soa.Attribute{
 		Metric: soa.MetricCost, Base: 0, PerUnit: 1, Resource: "failures", MaxUnits: 10,
 	}, nil, nil)
@@ -214,33 +216,143 @@ func TestCachedRenegotiationBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCachedRenegotiationRejectionReplay: a rejected renegotiation is
-// cached too, on its second sighting; the next retry replays the
-// rejection without touching the store.
+// TestCachedRenegotiationRejectionReplay: a rejected renegotiation on
+// a session from a replayed plan, retried, is rejected every time with
+// the cold session's journal bytes, leaves level and version where
+// they were, and never touches the plan cache.
 func TestCachedRenegotiationRejectionReplay(t *testing.T) {
+	req := cacheTestRequest()
+	_, cold, _, _ := negotiateJournaled(t, NewNegotiator(cacheTestRegistry(t)), req)
+
 	c := cache.New(1024)
 	n := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
-	_, sess, _, _ := negotiateJournaled(t, n, cacheTestRequest())
+	negotiateJournaled(t, n, req)
+	negotiateJournaled(t, n, req)
+	before := c.TierStats(cache.TierSearch).Hits
+	_, sess, _, _ := negotiateJournaled(t, n, req)
+	if c.TierStats(cache.TierSearch).Hits <= before {
+		t.Fatal("third negotiation did not replay a plan")
+	}
 	level := sess.AgreedLevel()
 
 	tight := soa.Attribute{
 		Metric: soa.MetricCost, Base: 100, PerUnit: 10, Resource: "failures", MaxUnits: 10,
 	}
-	sla0, j0 := renegotiateJournaled(t, sess, tight, fptr(1), nil)
-	sla1, j1 := renegotiateJournaled(t, sess, tight, fptr(1), nil)
-	before := c.TierStats(cache.TierSearch).Hits
-	sla2, j2 := renegotiateJournaled(t, sess, tight, fptr(1), nil)
-	if sla0 != nil || sla1 != nil || sla2 != nil {
-		t.Fatalf("tightening should be rejected, got %v, %v then %v", sla0, sla1, sla2)
+	slaCold, jCold := renegotiateJournaled(t, cold, tight, fptr(1), nil)
+	if slaCold != nil {
+		t.Fatalf("cold tightening should be rejected, got %v", slaCold)
 	}
-	if c.TierStats(cache.TierSearch).Hits <= before {
-		t.Fatal("retried rejection did not hit the plan cache")
+	statsBefore := c.TierStats(cache.TierSearch)
+	for i := 0; i < 3; i++ {
+		sla, j := renegotiateJournaled(t, sess, tight, fptr(1), nil)
+		if sla != nil {
+			t.Fatalf("try %d: tightening should be rejected, got %v", i, sla)
+		}
+		if j != jCold {
+			t.Errorf("try %d: rejection journal differs from cold:\ncold:\n%s\ngot:\n%s", i, jCold, j)
+		}
 	}
-	if j0 != j1 || j1 != j2 {
-		t.Errorf("rejection replay journal differs:\nfirst:\n%s\nsecond:\n%s\nretry:\n%s", j0, j1, j2)
+	if got := c.TierStats(cache.TierSearch); got != statsBefore {
+		t.Errorf("rejected renegotiations touched the plan cache: %+v, before %+v", got, statsBefore)
 	}
 	if sess.AgreedLevel() != level || sess.Version() != 1 {
 		t.Errorf("rejected renegotiation moved the session: level %v version %d", sess.AgreedLevel(), sess.Version())
+	}
+}
+
+// storeBits returns the session store's σ table as exact float64 bit
+// patterns, in the table's mixed-radix order.
+func storeBits(s *Session) []uint64 {
+	vals := s.store.Constraint().Values(nil)
+	bits := make([]uint64, len(vals))
+	for i, v := range vals {
+		bits[i] = math.Float64bits(v)
+	}
+	return bits
+}
+
+// TestRenegotiationChainReplayedMatchesCold: renegotiations are never
+// cached, so a session minted from a replayed negotiation plan must
+// renegotiate exactly as a session from a cache-less negotiator. Both
+// run the same chain of 50 renegotiations: each round walks the table
+// once, its requirement bases shifted by a quarter per round so that
+// the chained ÷ and ⊗ meet fractional tables. After every step the
+// two sessions agree on the SLA, every σ bit, σ⇓∅'s bits, the version
+// and the journal's JSONL bytes.
+func TestRenegotiationChainReplayedMatchesCold(t *testing.T) {
+	steps := []struct {
+		name          string
+		base, perUnit float64
+		lower, upper  *float64
+		accept        bool
+	}{
+		{name: "flat, unbounded", base: 1, accept: true},
+		{name: "linear, loose lower", base: 3, perUnit: 1, lower: fptr(20), accept: true},
+		{name: "tight lower", base: 100, perUnit: 10, lower: fptr(1)},
+		{name: "falling, unbounded", base: 9, perUnit: -1.5, accept: true},
+		{name: "falling, lower missed", base: 9, perUnit: -1.5, lower: fptr(7)},
+		{name: "falling, lower met", base: 9, perUnit: -1.5, lower: fptr(10), accept: true},
+		{name: "too good for upper", base: 0.1, perUnit: 0.3, upper: fptr(5)},
+		{name: "upper met", base: 4, upper: fptr(5), accept: true},
+		{name: "inside interval", base: 2.2, perUnit: -1.1, lower: fptr(10), upper: fptr(1), accept: true},
+		{name: "above interval", base: 50, lower: fptr(60), upper: fptr(55)},
+	}
+	const rounds = 5
+
+	req := cacheTestRequest()
+	_, cold, _, _ := negotiateJournaled(t, NewNegotiator(cacheTestRegistry(t)), req)
+	c := cache.New(1024)
+	n := NewNegotiator(cacheTestRegistry(t), WithNegotiatorSolveCache(c))
+	negotiateJournaled(t, n, req)
+	negotiateJournaled(t, n, req)
+	before := c.TierStats(cache.TierSearch).Hits
+	_, replayed, _, _ := negotiateJournaled(t, n, req)
+	if c.TierStats(cache.TierSearch).Hits <= before {
+		t.Fatal("third negotiation did not replay a plan")
+	}
+	if cold == nil || replayed == nil {
+		t.Fatal("negotiation found no agreement")
+	}
+
+	accepted := 0
+	for round := 0; round < rounds; round++ {
+		for _, st := range steps {
+			label := fmt.Sprintf("round %d, %s", round, st.name)
+			newReq := soa.Attribute{
+				Name: "budget", Metric: soa.MetricCost,
+				Base: st.base + float64(round)/4, PerUnit: st.perUnit,
+				Resource: "failures", MaxUnits: 10,
+			}
+			slaCold, jCold := renegotiateJournaled(t, cold, newReq, st.lower, st.upper)
+			slaReplayed, jReplayed := renegotiateJournaled(t, replayed, newReq, st.lower, st.upper)
+			if got := slaCold != nil; got != st.accept {
+				t.Fatalf("%s: accepted = %v, want %v", label, got, st.accept)
+			}
+			if st.accept {
+				accepted++
+			}
+			if !reflect.DeepEqual(slaReplayed, slaCold) {
+				t.Fatalf("%s: replayed SLA %+v, cold %+v", label, slaReplayed, slaCold)
+			}
+			if jReplayed != jCold {
+				t.Fatalf("%s: journals differ:\ncold:\n%s\nreplayed:\n%s", label, jCold, jReplayed)
+			}
+			if !reflect.DeepEqual(storeBits(replayed), storeBits(cold)) {
+				t.Fatalf("%s: σ bits differ", label)
+			}
+			if g, w := math.Float64bits(replayed.AgreedLevel()), math.Float64bits(cold.AgreedLevel()); g != w {
+				t.Fatalf("%s: σ⇓∅ bits %#x, cold %#x", label, g, w)
+			}
+			if !reflect.DeepEqual(replayed.SLA().Resources, cold.SLA().Resources) {
+				t.Fatalf("%s: resources %v, cold %v", label, replayed.SLA().Resources, cold.SLA().Resources)
+			}
+			if replayed.Version() != cold.Version() {
+				t.Fatalf("%s: version %d, cold %d", label, replayed.Version(), cold.Version())
+			}
+		}
+	}
+	if want := 1 + accepted; cold.Version() != want {
+		t.Errorf("chain ended at version %d, want %d", cold.Version(), want)
 	}
 }
 

@@ -58,11 +58,11 @@
 // (internal/cache) by default and threads it to its negotiator;
 // WithSolveCache overrides the default (nil disables). With the cache
 // on, repeat negotiations with identical content replay memoised
-// plans — emitting byte-identical flight-recorder journals without
-// re-running the transition machine — and sessions share
-// renegotiation plans under history-derived keys. A plan is stored
-// on the second sighting of its key, so a request seen once costs no
-// cache memory, and it replays from the third. The c∅ precheck is one
+// plans, emitting byte-identical flight-recorder journals without
+// re-running the transition machine. Renegotiations are not cached:
+// each runs its retract/tell machine on the session's live store. A
+// plan is stored on the second sighting of its key, so a request seen
+// once costs no cache memory, and it replays from the third. The c∅ precheck is one
 // node-consistency fold per provider and is not cached.
 // Compositions are solved afresh per request, one chain pass each.
 // Cached outcomes are bitwise those of the cold runs; error outcomes

@@ -10,14 +10,14 @@ import (
 )
 
 // This file is the broker side of the content-addressed solve cache:
-// negotiation and renegotiation plans (the full machine outcome —
-// status, transition stream, final store — of a deterministic run)
-// and the key builders that address them. The machine is
-// deterministic given (semiring, offer, requirement, bounds): seed 1,
-// fixed fuel, fixed agent trees. A plan hit therefore replays the
-// exact journal segment the cold run recorded — byte for byte,
-// including the transition records — and mints a live Session from
-// the cached store snapshot without burning fuel.
+// negotiation plans (the full machine outcome — status, transition
+// stream, final store — of a deterministic run) and the key function
+// that addresses them. The machine is deterministic given (semiring,
+// offer, requirement, bounds): seed 1, fixed fuel, fixed agent trees.
+// A plan hit therefore replays the exact journal segment the cold run
+// recorded — byte for byte, including the transition records — and
+// mints a live Session from the cached store snapshot without burning
+// fuel.
 //
 // Plans are admitted on second sight (cache.Admit): the first
 // sighting of a key runs cold without capturing anything, the second
@@ -42,6 +42,10 @@ import (
 // so they share one plan; the replay stamps the current provider into
 // the outcome and the journal label. Error outcomes (fuel exhaustion,
 // machine faults) are never cached.
+//
+// Renegotiations are not cached. Each runs its retract/tell machine
+// on the session's live store (Session.Renegotiate), so a session
+// minted from a replayed plan renegotiates exactly as a cold one.
 
 // teeRecorder captures the machine's transition stream for a plan
 // while forwarding it unchanged to the live journal (when there is
@@ -76,21 +80,6 @@ func negPlanKey(srName string, offer, req soa.Attribute, lower, upper *float64) 
 	h.Str(srName)
 	hashAttr(h, offer)
 	hashAttr(h, req)
-	h.FloatPtr(lower)
-	h.FloatPtr(upper)
-	return h.Sum()
-}
-
-// renegKey addresses a renegotiation plan by the session's history
-// key — the negotiation plan key folded with every successful
-// renegotiation since (see Session.histKey) — plus the new requirement
-// and bounds. The history key determines σ bit for bit (failures roll
-// the store back, successes advance the key), so two sessions with the
-// same history run the identical machine and share one plan.
-func renegKey(hist cache.Key, newReq soa.Attribute, lower, upper *float64) cache.Key {
-	h := cache.NewHasher("reneg-plan")
-	h.Str(string(hist[:]))
-	hashAttr(h, newReq)
 	h.FloatPtr(lower)
 	h.FloatPtr(upper)
 	return h.Sum()
@@ -139,18 +128,6 @@ type negPlan struct {
 	storeSnap *core.Store[float64] // final σ; Snapshot() per minted session
 }
 
-// renegPlan is the cached value for a renegotiation run on one
-// session version.
-type renegPlan struct {
-	prog        journal.Program
-	note        string
-	status      sccp.Status
-	transitions []journal.Transition
-	endStore    *storeText
-	endBlevel   float64
-	postSnap    *core.Store[float64] // post-success σ; nil unless succeeded
-}
-
 // copyResources defends cached allocation maps against caller
 // mutation.
 func copyResources(m map[string]int) map[string]int {
@@ -172,7 +149,6 @@ func (n *Negotiator) replayNegotiation(
 	sr semiring.Semiring[float64],
 	req Request,
 	provider string,
-	planKey cache.Key,
 	pl *negPlan,
 ) (ProviderOutcome, *Session) {
 	if pl.prechecked {
@@ -207,8 +183,6 @@ func (n *Negotiator) replayNegotiation(
 	po.AgreedLevel = pl.endBlevel
 	po.Resources = copyResources(pl.resources)
 	sess := &Session{
-		histKey:      planKey,
-		cache:        n.cache,
 		provider:     provider,
 		service:      req.Service,
 		client:       req.Client,

@@ -139,13 +139,13 @@ func WithProviderFilter(f ProviderFilter) NegotiatorOption {
 // WithNegotiatorSolveCache attaches a content-addressed solve cache.
 // It memoises whole negotiation plans — status, transition stream,
 // final store — keyed by (semiring, offer, requirement, acceptance
-// interval), and renegotiation plans keyed by (session history, new
-// requirement, bounds). A plan is stored only on the second sighting
-// of its key (cache.Admit): the first runs cold and stores nothing,
-// so requests that never repeat cost no cache memory. The compiled
-// instance and the precheck's c∅ are recomputed per cold run. Cached
-// and cold negotiations are bit-identical: same outcome, same SLA,
-// and byte-for-byte the same journal segments. A nil cache disables
+// interval); renegotiations always run the machine on the session's
+// live store. A plan is stored only on the second sighting of its key
+// (cache.Admit): the first runs cold and stores nothing, so requests
+// that never repeat cost no cache memory. The compiled instance and
+// the precheck's c∅ are recomputed per cold run. Cached and cold
+// negotiations are bit-identical: same outcome, same SLA, and
+// byte-for-byte the same journal segments. A nil cache disables
 // caching.
 func WithNegotiatorSolveCache(c *cache.Cache) NegotiatorOption {
 	return func(n *Negotiator) { n.cache = c }
@@ -294,7 +294,7 @@ func (n *Negotiator) negotiateOne(
 		planKey = negPlanKey(sr.Name(), offer, req.Requirement, req.Lower, req.Upper)
 		if v, ok := n.cache.Get(cache.TierSearch, planKey); ok {
 			if pl, ok := v.(*negPlan); ok {
-				po, sess := n.replayNegotiation(j, sr, req, provider, planKey, pl)
+				po, sess := n.replayNegotiation(j, sr, req, provider, pl)
 				return po, sess, nil
 			}
 		}
@@ -414,8 +414,6 @@ func (n *Negotiator) negotiateOne(
 	po.AgreedLevel = endBlevel
 	po.Resources = bestResources(sr, m.Store().Constraint(), resourceVars)
 	sess := &Session{
-		histKey:      planKey,
-		cache:        n.cache,
 		provider:     provider,
 		service:      req.Service,
 		client:       req.Client,

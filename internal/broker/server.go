@@ -310,11 +310,11 @@ func WithStateStore(st store.Store) ServerOption {
 }
 
 // WithSolveCache installs the negotiator's content-addressed solve
-// cache of negotiation and renegotiation plans, each admitted on the
-// second sighting of its key. By default the server creates its own
-// cache of defaultSolveCacheSize entries; pass an explicit cache to
-// share one across embedded brokers or to size it, or nil to disable
-// caching entirely. Cached and cold requests are bit-identical — same
+// cache of negotiation plans, each admitted on the second sighting of
+// its key. By default the server creates its own cache of
+// defaultSolveCacheSize entries; pass an explicit cache to share one
+// across embedded brokers or to size it, or nil to disable caching
+// entirely. Cached and cold requests are bit-identical — same
 // SLAs, same journals — the cache only changes how fast the answer is
 // computed. Hit/miss/eviction counters are exported on the metrics
 // registry (cache_hits_total and friends, labelled by tier).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"softsoa/internal/cache"
 	"softsoa/internal/core"
 	"softsoa/internal/obs/journal"
 	"softsoa/internal/sccp"
@@ -21,16 +20,6 @@ import (
 // A Session is not safe for concurrent use; the broker server
 // serialises access per SLA.
 type Session struct {
-	// histKey is the session's content-derived history: the negotiation
-	// plan key it was minted under, folded with every successful
-	// renegotiation's key since. It determines the current σ bit for
-	// bit, so it keys cached renegotiation plans — and two sessions
-	// with equal histories (repeat negotiations of the same template)
-	// share them. cache is the negotiator's solve cache (nil when
-	// caching is off).
-	histKey cache.Key
-	cache   *cache.Cache
-
 	provider     string
 	service      string
 	client       string
@@ -114,24 +103,6 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 	}
 
 	j := journal.FromContext(ctx)
-	// As in negotiateOne, only a key seen before earns a plan.
-	var wantPlan bool
-	var memoKey cache.Key
-	if s.cache != nil {
-		memoKey = renegKey(s.histKey, newReq, lower, upper)
-		if v, ok := s.cache.Get(cache.TierSearch, memoKey); ok {
-			// A success plan restores the cached post-run snapshot, so
-			// it is only usable by sessions over the same space object
-			// (each cold negotiation compiles its own space, shared only
-			// by the sessions a plan replays into; σ content is equal but
-			// Restore is rightly strict). Mismatches fall through cold.
-			if pl, ok := v.(*renegPlan); ok && (pl.postSnap == nil || pl.postSnap.Space() == s.space) {
-				return s.replayRenegotiation(j, memoKey, newReq, newCon, pl)
-			}
-		}
-		wantPlan = s.cache.Admit(memoKey)
-	}
-
 	check := sccp.Check[float64]{LowerValue: lower, UpperValue: upper}
 	agent := sccp.Retract[float64]{
 		C: s.reqCon,
@@ -142,34 +113,17 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 		},
 	}
 
-	// The journal program is captured before the run mutates the
-	// session; the journal synthesises it only when read.
-	var prog journal.Program
-	var note string
-	if j != nil || wantPlan {
-		prog = newRenegProgram(s, newReq, lower, upper)
-		note = fmt.Sprintf("session version %d", s.version)
-	}
-	var machineOpts []sccp.MachineOption[float64]
-	machineOpts = append(machineOpts, sccp.WithStore[float64](s.store))
+	machineOpts := []sccp.MachineOption[float64]{sccp.WithStore[float64](s.store)}
 	if j != nil {
+		// The journal program is captured before the run mutates the
+		// session; the journal synthesises it only when read.
 		j.SetSemiring(s.sr)
 		j.BeginRun(journal.Segment{
 			Label: "renegotiate:" + s.provider,
 			Seed:  1,
 			Fuel:  renegotiationFuel,
-			Note:  note,
-		}, prog)
-	}
-	var tee *teeRecorder
-	if wantPlan {
-		var live journal.Recorder
-		if j != nil {
-			live = j
-		}
-		tee = &teeRecorder{live: live}
-		machineOpts = append(machineOpts, sccp.WithRecorder(tee))
-	} else if j != nil {
+			Note:  fmt.Sprintf("session version %d", s.version),
+		}, newRenegProgram(s, newReq, lower, upper))
 		machineOpts = append(machineOpts, sccp.WithRecorder(j))
 	}
 
@@ -185,61 +139,13 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 	}
 	// Record the machine's view of the store before any rollback: the
 	// replay re-executes the run itself, not the rollback.
-	endStore, endBlevel := &storeText{c: s.store.Constraint()}, s.store.Blevel()
 	if j != nil {
-		j.EndRun(status.String(), endStore, endBlevel)
-	}
-	if wantPlan {
-		pl := &renegPlan{
-			prog: prog, note: note, status: status,
-			transitions: tee.events, endStore: endStore, endBlevel: endBlevel,
-		}
-		if status == sccp.Succeeded {
-			pl.postSnap = s.store.Snapshot()
-		}
-		s.cache.Put(cache.TierSearch, memoKey, pl)
+		j.EndRun(status.String(), &storeText{c: s.store.Constraint()}, s.store.Blevel())
 	}
 	if status != sccp.Succeeded {
 		s.store.Restore(snapshot)
 		return nil, nil
 	}
-	s.histKey = memoKey
-	s.reqCon = newCon
-	s.reqAttr = newReq
-	s.version++
-	return s.SLA(), nil
-}
-
-// replayRenegotiation serves a renegotiation from a cached plan: the
-// journal segment is re-emitted byte for byte (same captured program,
-// transitions and final store), and on success the session
-// store is restored to the cached post-run snapshot — the same σ the
-// cold run left behind — before the version advances.
-func (s *Session) replayRenegotiation(
-	j *journal.Journal,
-	memoKey cache.Key,
-	newReq soa.Attribute,
-	newCon *core.Constraint[float64],
-	pl *renegPlan,
-) (*soa.SLA, error) {
-	if j != nil {
-		j.SetSemiring(s.sr)
-		j.BeginRun(journal.Segment{
-			Label: "renegotiate:" + s.provider,
-			Seed:  1,
-			Fuel:  renegotiationFuel,
-			Note:  pl.note,
-		}, pl.prog)
-		for _, tr := range pl.transitions {
-			j.RecordTransition(tr)
-		}
-		j.EndRun(pl.status.String(), pl.endStore, pl.endBlevel)
-	}
-	if pl.status != sccp.Succeeded {
-		return nil, nil
-	}
-	s.store.Restore(pl.postSnap)
-	s.histKey = memoKey
 	s.reqCon = newCon
 	s.reqAttr = newReq
 	s.version++

@@ -12,8 +12,7 @@ import (
 type Tier int
 
 const (
-	// TierSearch holds search outcomes: negotiation and renegotiation
-	// plans.
+	// TierSearch holds search outcomes: negotiation plans.
 	TierSearch Tier = iota
 
 	numTiers

@@ -6,9 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"softsoa/internal/core"
-	"softsoa/internal/semiring"
 )
 
 func key(s string) Key {
@@ -117,38 +114,6 @@ func TestHasherFieldBoundaries(t *testing.T) {
 	}
 	if NewHasher("x").Sum() == NewHasher("y").Sum() {
 		t.Fatal("domain separation failed")
-	}
-}
-
-func twoVarProblem(val float64) *core.Problem[float64] {
-	s := core.NewSpace[float64](semiring.Weighted{})
-	x := s.AddVariable("x", core.IntDomain(0, 2))
-	y := s.AddVariable("y", core.IntDomain(0, 2))
-	p := core.NewProblem(s, x)
-	p.Add(core.NewConstraint(s, []core.Variable{x, y}, func(a core.Assignment) float64 {
-		if a.Num(x) == a.Num(y) {
-			return val
-		}
-		return 0
-	}))
-	return p
-}
-
-func TestProblemKeyContentAddressed(t *testing.T) {
-	// Identical content from independent constructions hashes equal…
-	if ProblemKey(twoVarProblem(3)) != ProblemKey(twoVarProblem(3)) {
-		t.Fatal("equal problems hash apart")
-	}
-	// …and any content change (one table value) hashes apart.
-	if ProblemKey(twoVarProblem(3)) == ProblemKey(twoVarProblem(4)) {
-		t.Fatal("different tables hash equal")
-	}
-	// Tags discriminate.
-	if ProblemKey(twoVarProblem(3), "a") == ProblemKey(twoVarProblem(3), "b") {
-		t.Fatal("tags ignored")
-	}
-	if ProblemKey(twoVarProblem(3)) == ProblemKey(twoVarProblem(3), "a") {
-		t.Fatal("tag presence ignored")
 	}
 }
 

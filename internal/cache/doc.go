@@ -5,13 +5,14 @@
 // nmsccp outcomes are pure functions of their inputs — so a cache read
 // can never change a computed result, only skip recomputing it.
 //
-// One tier remains, TierSearch: full negotiation and renegotiation
-// plans, replayed instead of re-running nmsccp. The negotiator's
-// compiled instances and its c∅ precheck are not cached: each cold
-// run compiles its own instance, and one node-consistency fold over
-// two unary tables (solver.NodeBound) costs less than hashing them
-// for a key. TierTables and TierFixpoint are retired names whose
-// counters read zero.
+// One tier remains, TierSearch: full negotiation plans, replayed
+// instead of re-running nmsccp. Renegotiations, the negotiator's
+// compiled instances and its c∅ precheck are not cached: a
+// renegotiation runs on its session's live store, each cold run
+// compiles its own instance, and one node-consistency fold over two
+// unary tables (solver.NodeBound) costs less than hashing them for a
+// key. TierTables and TierFixpoint are retired names whose counters
+// read zero.
 //
 // Admission is on second sight, after TinyLFU's doorkeeper. Admit
 // records a key's sighting in a fixed-size, direct-mapped table of
@@ -22,13 +23,11 @@
 // slot overwrite each other's tag, which only delays their
 // admission. The table is sized from the capacity and never grows.
 //
-// Keys are computed with Hasher/ProblemKey over the same canonical
-// renderings the flight recorder serialises (semiring Format,
-// Constraint.String tables in mixed-radix order, synthesised nmsccp
-// programs), so key determinism rides on the byte-stability already
-// proven for replay. Two problems hash equal iff their canonical
-// renderings are byte-equal; collisions between well-formed keys would
-// require a SHA-256 collision.
+// Keys are computed with Hasher over the inputs that determine a run:
+// the semiring name and every field of the QoS attributes and bounds,
+// floats by their exact bit patterns. Two inputs hash equal iff those
+// fields are equal; collisions between well-formed keys would require
+// a SHA-256 collision.
 //
 // Eviction is LRU per shard: the capacity is split across 16 shards,
 // each with its own mutex, map and recency list, so concurrent

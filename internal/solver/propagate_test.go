@@ -277,6 +277,8 @@ func TestNodeBoundMatchesPropagate(t *testing.T) {
 			func(rng *rand.Rand) semiring.Pair[float64, float64] {
 				return semiring.P(pick(rng, []float64{0}, func() float64 { return float64(rng.Intn(10)) }),
 					pick(rng, []float64{1}, rng.Float64))
-			}, func(a, b semiring.Pair[float64, float64]) bool { return sameFloat(a.First, b.First) && sameFloat(a.Second, b.Second) })
+			}, func(a, b semiring.Pair[float64, float64]) bool {
+				return sameFloat(a.First, b.First) && sameFloat(a.Second, b.Second)
+			})
 	})
 }
