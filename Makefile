@@ -78,11 +78,12 @@ obs-smoke:
 crash-recovery:
 	go test -race -run 'TestBrokerdCrashRecovery|TestBrokerdGracefulDrain' -v .
 
-# Replay every golden journal fixture against the current engine; any
-# semantic drift in the nmsccp transition system shows up as a
-# rule-by-rule mismatch.
+# Replay every golden journal fixture against the current engine: the
+# recorded programs and the broker's pinned journals. Any semantic
+# drift in the nmsccp transition system shows up as a rule-by-rule
+# mismatch.
 replay-check:
-	@for j in testdata/journals/*.jsonl; do \
+	@for j in testdata/journals/*.jsonl internal/broker/testdata/journals/*.jsonl; do \
 		go run ./cmd/softsoa-replay $$j || exit 1; \
 	done
 

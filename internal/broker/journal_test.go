@@ -645,3 +645,57 @@ func TestCompositionJournalOneEventPerStage(t *testing.T) {
 		t.Errorf("journal_events_dropped_total is not 0:\n%s", body)
 	}
 }
+
+// TestRenegotiationChainJournalsReplay: a renegotiation segment's setup
+// rebuilds σ as offer ⊗ requirement, which it stops being once a
+// retraction rounds. Over fractional chains under +, × and min, every
+// segment must then either replay exactly or be withdrawn with a note
+// saying why, and a first renegotiation (σ is still the product)
+// must always replay.
+func TestRenegotiationChainJournalsReplay(t *testing.T) {
+	withdrawn := 0
+	for _, metric := range chainMetrics {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			reg := soa.NewRegistry()
+			if err := reg.Publish(chainDoc("p1", chainAttr(rng, metric))); err != nil {
+				t.Fatal(err)
+			}
+			j := journal.New(0, journal.Meta{})
+			ctx := journal.ContextWith(context.Background(), j)
+			_, sess, _, err := NewNegotiator(reg).NegotiateSession(ctx, Request{
+				Service: "svc", Client: "shop", Metric: metric, Requirement: chainAttr(rng, metric),
+			})
+			if err != nil || sess == nil {
+				t.Fatalf("%s seed %d: no agreement (%v)", metric, seed, err)
+			}
+			for k := 0; k < 4; k++ {
+				if _, err := sess.Renegotiate(ctx, chainAttr(rng, metric), nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := replay.Verify(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs := j.Segments()
+			for i, res := range rep.Segments {
+				switch {
+				case !res.OK():
+					t.Errorf("%s seed %d segment %d does not replay: %v", metric, seed, i, res.Mismatches)
+				case res.Replayable:
+				case i == 1:
+					t.Errorf("%s seed %d: the first renegotiation was withdrawn: %q", metric, seed, segs[i].Note)
+				case !strings.Contains(segs[i].Note, "program withdrawn: its setup does not rebuild the session store"):
+					t.Errorf("%s seed %d segment %d is not replayable and says nothing why: %q", metric, seed, i, segs[i].Note)
+				default:
+					withdrawn++
+				}
+			}
+		}
+	}
+	if withdrawn == 0 {
+		t.Error("no program was withdrawn: the chains never rounded a retraction")
+	}
+	t.Logf("%d renegotiation programs withdrawn", withdrawn)
+}

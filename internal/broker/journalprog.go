@@ -3,7 +3,7 @@ package broker
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,7 +38,10 @@ import (
 // threshold the surface grammar cannot spell, a non-finite attribute.
 // In that case the segment carries an empty Program and is recorded as
 // evidence only, not replayed; the synthesiser proves every non-empty
-// program by compiling it before handing it out.
+// program by compiling it before handing it out. A renegotiation's
+// program is also withdrawn, with a note saying so, when its setup
+// does not rebuild the session store bit for bit (see
+// renegotiationJournalProgram).
 
 // journalNum renders a float like the sccp formatter: %g, falling back
 // to plain decimals because the lexer has no exponent syntax.
@@ -140,14 +143,15 @@ func proveProgram(src string) string {
 // programText is a captured program's text, rendered by the first
 // read.
 type programText struct {
-	once  sync.Once
-	src   string
-	setup int
+	once     sync.Once
+	src      string
+	setup    int
+	withheld string
 }
 
-func (t *programText) get(render func() (string, int)) (string, int) {
-	t.once.Do(func() { t.src, t.setup = render() })
-	return t.src, t.setup
+func (t *programText) get(render func() (string, int, string)) (string, int, string) {
+	t.once.Do(func() { t.src, t.setup, t.withheld = render() })
+	return t.src, t.setup, t.withheld
 }
 
 // storeText is a run's final σ, rendered by the first read: a cached
@@ -189,37 +193,38 @@ func newNegProgram(srName string, offer, req soa.Attribute, inst *negInstance, l
 }
 
 // Source implements journal.Program.
-func (p *negProgram) Source() (string, int) {
-	return p.text.get(func() (string, int) {
-		return negotiationJournalProgram(p.srName, p.offer, p.req, p.names, p.maxUnits, p.lower, p.upper), 0
+func (p *negProgram) Source() (string, int, string) {
+	return p.text.get(func() (string, int, string) {
+		return negotiationJournalProgram(p.srName, p.offer, p.req, p.names, p.maxUnits, p.lower, p.upper), 0, ""
 	})
 }
 
 // renegProgram is a renegotiation segment's program, captured before
 // the run mutates the session: the session's offer and current
-// requirement, and the scope order of σ as the run found it, which
-// orders the setup tells.
+// requirement, and σ as the run found it (constraints are immutable),
+// whose bits the setup must rebuild.
 type renegProgram struct {
 	text         programText
 	srName       string
 	offer, cur   soa.Attribute
 	next         soa.Attribute
+	names        []string
 	maxUnits     map[string]int
-	scope        []core.Variable
+	before       *core.Constraint[float64]
 	lower, upper *float64
 }
 
 func newRenegProgram(s *Session, next soa.Attribute, lower, upper *float64) *renegProgram {
 	return &renegProgram{
 		srName: s.sr.Name(), offer: s.offerAttr, cur: s.reqAttr, next: next,
-		maxUnits: s.maxUnits, scope: s.store.Constraint().Scope(),
+		names: s.inst.names, maxUnits: s.inst.maxUnits, before: s.store.Constraint(),
 		lower: lower, upper: upper,
 	}
 }
 
 // Source implements journal.Program.
-func (p *renegProgram) Source() (string, int) {
-	return p.text.get(func() (string, int) { return renegotiationJournalProgram(p) })
+func (p *renegProgram) Source() (string, int, string) {
+	return p.text.get(func() (string, int, string) { return renegotiationJournalProgram(p) })
 }
 
 // negotiationJournalProgram renders the two-agent negotiation of
@@ -233,16 +238,10 @@ func negotiationJournalProgram(
 	names []string, maxUnits map[string]int,
 	lower, upper *float64,
 ) string {
-	offerExpr, ok := qosExpr(offer)
-	if !ok {
-		return ""
-	}
-	reqExpr, ok := qosExpr(requirement)
-	if !ok {
-		return ""
-	}
-	arrow, ok := journalArrow(lower, upper)
-	if !ok {
+	offerExpr, ok1 := qosExpr(offer)
+	reqExpr, ok2 := qosExpr(requirement)
+	arrow, ok3 := journalArrow(lower, upper)
+	if !ok1 || !ok2 || !ok3 {
 		return ""
 	}
 	var b strings.Builder
@@ -256,80 +255,49 @@ func negotiationJournalProgram(
 // renegotiationJournalProgram renders a Session.Renegotiate as a
 // replayable segment: a setup prefix of four tells that rebuilds the
 // session store, then the retract/tell pair the live machine actually
-// ran. The setup tells are ordered so variables enter the store scope
-// in the recorded order — the sync flags contribute exact semiring
-// identities and the two affine constraints commute exactly under the
-// carrier operation, so matching the scope order makes the rebuilt
-// store (and every subsequent division and combination) bit-identical
-// to the live one. Returns the program and the setup length.
-func renegotiationJournalProgram(p *renegProgram) (string, int) {
-	if p.offer.Resource == "" || p.cur.Resource == "" || len(p.maxUnits) == 0 {
-		return "", 0
+// ran. The setup tells follow the variables' declaration order (the
+// offer first on a shared resource); the sync flags contribute exact
+// semiring identities and the two affine constraints commute exactly
+// under the carrier operation, so the setup rebuilds σ as offer ⊗
+// requirement. σ is that product until a retraction rounds: ÷ does not
+// undo ⊗ for fuzzy min, nor in floats for + and ×. So the setup is
+// run, and the program is kept only when it rebuilds σ bit for bit;
+// otherwise it is withdrawn and the third result, a note suffix, says
+// why. Returns the program, the setup length and that suffix.
+func renegotiationJournalProgram(p *renegProgram) (string, int, string) {
+	offerExpr, ok1 := qosExpr(p.offer)
+	curExpr, ok2 := qosExpr(p.cur)
+	newExpr, ok3 := qosExpr(p.next)
+	arrow, ok4 := journalArrow(p.lower, p.upper)
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		return "", 0, ""
 	}
-	offerExpr, ok := qosExpr(p.offer)
-	if !ok {
-		return "", 0
+	tells := []string{offerExpr, curExpr, "(spP == 1)", "(spC == 1)"}
+	if p.cur.Resource < p.offer.Resource {
+		tells[0], tells[1] = curExpr, offerExpr
 	}
-	curExpr, ok := qosExpr(p.cur)
-	if !ok {
-		return "", 0
-	}
-	newExpr, ok := qosExpr(p.next)
-	if !ok {
-		return "", 0
-	}
-	arrow, ok := journalArrow(p.lower, p.upper)
-	if !ok {
-		return "", 0
-	}
-
-	names := make([]string, 0, len(p.maxUnits))
-	for name := range p.maxUnits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	// Order the setup tells by where each constraint's variable first
-	// appears in the live store's scope; the offer precedes the
-	// requirement on a shared resource (their order cannot change the
-	// table — the carrier operations commute exactly).
-	scopeIndex := map[core.Variable]int{}
-	for i, v := range p.scope {
-		scopeIndex[v] = i
-	}
-	type setupTell struct {
-		expr string
-		rank int
-		tie  int
-	}
-	rank := func(v core.Variable, fallback int) int {
-		if i, ok := scopeIndex[v]; ok {
-			return i
-		}
-		return fallback
-	}
-	tells := []setupTell{
-		{offerExpr, rank(core.Variable(p.offer.Resource), len(scopeIndex)), 0},
-		{curExpr, rank(core.Variable(p.cur.Resource), len(scopeIndex)+1), 1},
-		{"(spP == 1)", rank("spP", len(scopeIndex)+2), 2},
-		{"(spC == 1)", rank("spC", len(scopeIndex)+3), 3},
-	}
-	sort.SliceStable(tells, func(i, j int) bool {
-		if tells[i].rank != tells[j].rank {
-			return tells[i].rank < tells[j].rank
-		}
-		return tells[i].tie < tells[j].tie
-	})
 
 	var b strings.Builder
-	b.WriteString(journalHeader(p.srName, names, p.maxUnits))
+	b.WriteString(journalHeader(p.srName, p.names, p.maxUnits))
 	b.WriteString("main :: ")
 	for _, t := range tells {
-		fmt.Fprintf(&b, "tell(%s) -> ", t.expr)
+		fmt.Fprintf(&b, "tell(%s) -> ", t)
 	}
 	fmt.Fprintf(&b, "retract(%s) -> tell(%s)%s success.\n", curExpr, newExpr, arrow)
-	if src := proveProgram(b.String()); src != "" {
-		return src, len(tells)
+	c, err := sccp.ParseAndCompile(b.String())
+	if err != nil {
+		return "", 0, ""
 	}
-	return "", 0
+	m := c.NewMachine()
+	if _, err := m.Run(len(tells)); err != nil || !sameBits(m.Store().Constraint(), p.before) {
+		return "", 0, "; program withdrawn: its setup does not rebuild the session store bit for bit"
+	}
+	return b.String(), len(tells), ""
+}
+
+// sameBits reports whether two constraints, possibly over different
+// spaces, have the same scope names and bit-identical tables.
+func sameBits(a, b *core.Constraint[float64]) bool {
+	return slices.Equal(a.Scope(), b.Scope()) && slices.EqualFunc(a.Values(nil), b.Values(nil),
+		func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -125,10 +126,19 @@ func (m *brokerMetrics) observeSolve(mode string, comp *Composition) {
 }
 
 // statusRecorder captures the status code a handler writes so the
-// request counter can label it.
+// request counter can label it, and the handler's logOutcome attributes.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	log    []any
+}
+
+// logOutcome adds a request's outcome, with the ids and values that
+// explain it, to the request's one Info record (its access line).
+func logOutcome(w http.ResponseWriter, outcome string, args ...any) {
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.log = append(append(rec.log, "outcome", outcome), args...)
+	}
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -137,8 +147,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // instrument wraps one route's handler with the per-route
-// count/latency/status instruments. The route label is the registered
-// pattern — bounded cardinality, unlike raw request paths.
+// count/latency/status instruments and the access line. The route
+// label is the registered pattern — bounded cardinality, unlike raw
+// request paths.
 func (s *Server) instrument(pattern string, next http.HandlerFunc) http.Handler {
 	method, route, ok := strings.Cut(pattern, " ")
 	if !ok {
@@ -154,9 +165,10 @@ func (s *Server) instrument(pattern string, next http.HandlerFunc) http.Handler 
 		lat.Observe(elapsed.Seconds())
 		s.bm.inFlight.Dec()
 		s.bm.requests.With(route, method, strconv.Itoa(rec.status)).Inc()
-		s.logger.InfoContext(r.Context(), "request",
-			"method", method, "route", route, "status", rec.status,
-			"elapsed", elapsed.Round(time.Microsecond).String())
+		if ctx := r.Context(); s.logger.Enabled(ctx, slog.LevelInfo) {
+			s.logger.InfoContext(ctx, "request", append([]any{"method", method, "route", route,
+				"status", rec.status, "elapsed", elapsed.Round(time.Microsecond).String()}, rec.log...)...)
+		}
 	})
 }
 

@@ -78,15 +78,12 @@ func (m *Monitor) counts() (observations, violations int64, worst float64, hasWo
 }
 
 // restoreCounts reinstates persisted counters on a freshly rebuilt
-// monitor during crash recovery. The agreed level is untouched — it
-// comes from replaying the negotiation history through the engine.
-func (m *Monitor) restoreCounts(observations, violations int64, worst float64, hasWorst bool) {
+// monitor during crash recovery. The agreed level is untouched — it is
+// the restored session's.
+func (m *Monitor) restoreCounts(s monitorSnap) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.observations = observations
-	m.violations = violations
-	m.worst = worst
-	m.hasWorst = hasWorst
+	m.observations, m.violations, m.worst, m.hasWorst = s.Observations, s.Violations, s.Worst, s.HasWorst
 }
 
 // Observe records one measured service level and reports whether it

@@ -182,20 +182,5 @@ func (n *Negotiator) replayNegotiation(
 	}
 	po.AgreedLevel = pl.endBlevel
 	po.Resources = copyResources(pl.resources)
-	sess := &Session{
-		provider:     provider,
-		service:      req.Service,
-		client:       req.Client,
-		metric:       req.Metric,
-		sr:           sr,
-		space:        pl.inst.space,
-		store:        pl.storeSnap.Snapshot(),
-		reqCon:       pl.inst.reqCon,
-		offerAttr:    pl.offer,
-		reqAttr:      req.Requirement,
-		maxUnits:     pl.inst.maxUnits,
-		resourceVars: pl.inst.resourceVars,
-		version:      1,
-	}
-	return po, sess
+	return po, newSession(sr, req, provider, pl.offer, pl.inst, pl.storeSnap.Snapshot())
 }

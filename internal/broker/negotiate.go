@@ -305,9 +305,6 @@ func (n *Negotiator) negotiateOne(
 	if err != nil {
 		return ProviderOutcome{}, nil, err
 	}
-	space, resourceVars := inst.space, inst.resourceVars
-	offerCon, reqCon := inst.offerCon, inst.reqCon
-	spPCon, spCCon := inst.spPCon, inst.spCCon
 
 	// Propagation precheck: node consistency over the two constraints
 	// about to be told yields c∅, and for a store of unaries c∅ equals
@@ -321,7 +318,7 @@ func (n *Negotiator) negotiateOne(
 	var czero float64
 	if req.Lower != nil {
 		sp := obs.StartSpan(ctx, "precheck:"+provider)
-		czero = solver.NodeBound(space, offerCon, reqCon)
+		czero = solver.NodeBound(inst.space, inst.offerCon, inst.reqCon)
 		sp.End()
 		if semiring.Lt(sr, czero, *req.Lower) {
 			note := fmt.Sprintf("prechecked: c∅ = %s below lower threshold %s, machine run skipped",
@@ -349,11 +346,11 @@ func (n *Negotiator) negotiateOne(
 	}
 
 	check := sccp.Check[float64]{LowerValue: req.Lower, UpperValue: req.Upper}
-	pAgent := sccp.Tell[float64]{C: offerCon, Next: sccp.Tell[float64]{C: spPCon, Next: sccp.Ask[float64]{
-		C: spCCon, Next: sccp.Success[float64]{},
+	pAgent := sccp.Tell[float64]{C: inst.offerCon, Next: sccp.Tell[float64]{C: inst.spPCon, Next: sccp.Ask[float64]{
+		C: inst.spCCon, Next: sccp.Success[float64]{},
 	}}}
-	cAgent := sccp.Tell[float64]{C: reqCon, Next: sccp.Tell[float64]{C: spCCon, Next: sccp.Ask[float64]{
-		C: spPCon, Check: check, Next: sccp.Success[float64]{},
+	cAgent := sccp.Tell[float64]{C: inst.reqCon, Next: sccp.Tell[float64]{C: inst.spCCon, Next: sccp.Ask[float64]{
+		C: inst.spPCon, Check: check, Next: sccp.Success[float64]{},
 	}}}
 
 	// The journal program is captured as its inputs; the journal
@@ -386,7 +383,7 @@ func (n *Negotiator) negotiateOne(
 		machineOpts = append(machineOpts, sccp.WithRecorder(j))
 	}
 
-	m := sccp.NewMachine(space, sccp.Par[float64](pAgent, cAgent), machineOpts...)
+	m := sccp.NewMachine(inst.space, sccp.Par[float64](pAgent, cAgent), machineOpts...)
 	sp := obs.StartSpan(ctx, "nmsccp:"+provider)
 	status, err := m.Run(negotiationFuel)
 	sp.End()
@@ -412,22 +409,8 @@ func (n *Negotiator) negotiateOne(
 		return po, nil, nil
 	}
 	po.AgreedLevel = endBlevel
-	po.Resources = bestResources(sr, m.Store().Constraint(), resourceVars)
-	sess := &Session{
-		provider:     provider,
-		service:      req.Service,
-		client:       req.Client,
-		metric:       req.Metric,
-		sr:           sr,
-		space:        space,
-		store:        m.Store(),
-		reqCon:       reqCon,
-		offerAttr:    offer,
-		reqAttr:      req.Requirement,
-		maxUnits:     inst.maxUnits,
-		resourceVars: resourceVars,
-		version:      1,
-	}
+	po.Resources = bestResources(sr, m.Store().Constraint(), inst.resourceVars)
+	sess := newSession(sr, req, provider, offer, inst, m.Store())
 	if wantPlan {
 		n.cache.Put(cache.TierSearch, planKey, &negPlan{
 			inst: inst, offer: offer,

@@ -2,13 +2,16 @@ package broker
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 
 	"softsoa/internal/broker/store"
+	"softsoa/internal/core"
 	"softsoa/internal/obs/journal"
 	"softsoa/internal/sccp"
 	"softsoa/internal/soa"
@@ -17,11 +20,15 @@ import (
 // Durability layer: every state mutation the broker acknowledges is
 // appended to the configured store.Store as one typed JSON record, and
 // every snapshotEvery records the full state is compacted into a
-// snapshot. Recovery replays snapshot + WAL tail *through the engine*:
-// a negotiation record re-runs negotiateOne with the recorded winner
-// and offer, a renegotiation record re-runs Session.Renegotiate on the
+// snapshot. A snapshot holds each SLA's state, not its history: the
+// binding, the monitor counts and σ as raw IEEE-754 bits, installed as
+// they are (after a rounded ÷, σ is no function of offer and
+// requirement). The WAL tail replays *through the engine*: a
+// negotiation record re-runs negotiateOne with the recorded winner and
+// offer, a renegotiation record re-runs Session.Renegotiate on the
 // live store — the same deterministic machinery the flight recorder
 // relies on, so recovered sessions are bit-exact, not approximations.
+// A v1 snapshot's binding histories replay through the same helpers.
 //
 // Breaker effects are not re-derived: each record carries the breaker
 // feedback the live request generated (success / failure / trip per
@@ -102,10 +109,8 @@ type composeRecord struct {
 	ID string `json:"id"`
 }
 
-// histOp is one step of an SLA entry's binding history, enough to
-// rebuild its session deterministically: the initial negotiation, each
-// accepted renegotiation, each failover. Kept on the live entry and
-// serialised into snapshots.
+// histOp is one step of a v1 snapshot entry's binding history: the
+// initial negotiation, an accepted renegotiation or a failover.
 type histOp struct {
 	// Kind is "negotiate", "renegotiate" or "failover".
 	Kind        string         `json:"kind"`
@@ -131,19 +136,75 @@ type breakerSnap struct {
 	Failures int    `json:"failures"`
 }
 
-// entrySnap persists one live SLA entry. PriorObservations and
+// entrySnap persists one live SLA entry: the original request, the
+// binding, the requirement if renegotiations changed it, the wire
+// version and σ (v1: History instead). PriorObservations and
 // PriorViolations are the counts of the bindings failovers replaced.
 type entrySnap struct {
-	ID                string      `json:"id"`
-	Req               Request     `json:"req"`
-	History           []histOp    `json:"history"`
-	Monitor           monitorSnap `json:"monitor"`
-	PriorObservations int64       `json:"priorObservations,omitempty"`
-	PriorViolations   int64       `json:"priorViolations,omitempty"`
+	ID                string         `json:"id"`
+	Req               Request        `json:"req"`
+	Provider          string         `json:"provider,omitempty"`
+	Offer             soa.Attribute  `json:"offer"`
+	Requirement       *soa.Attribute `json:"requirement,omitempty"`
+	Version           int            `json:"version,omitempty"`
+	Sigma             sigmaSnap      `json:"sigma"`
+	History           []histOp       `json:"history,omitempty"`
+	Monitor           monitorSnap    `json:"monitor"`
+	PriorObservations int64          `json:"priorObservations,omitempty"`
+	PriorViolations   int64          `json:"priorViolations,omitempty"`
+}
+
+// sigmaSnap is a session store σ: its scope in declaration order, the
+// size of its table (core.Constraint.Values order), a bitmap of the
+// cells that are not the semiring's Zero, and those cells as
+// little-endian IEEE-754 bits; JSON numbers carry neither the weighted
+// Zero (+Inf) nor −0. Cells where a sync flag is 0 are mostly Zero.
+type sigmaSnap struct {
+	Scope []core.Variable `json:"scope"`
+	Cells int             `json:"cells"`
+	Mask  []byte          `json:"mask"`
+	Bits  []byte          `json:"bits"`
+}
+
+// encodeSigma records c's table bit for bit.
+func encodeSigma(c *core.Constraint[float64]) sigmaSnap {
+	zero := math.Float64bits(c.Space().Semiring().Zero())
+	ss := sigmaSnap{Scope: c.Scope(), Cells: c.Size(), Mask: make([]byte, (c.Size()+7)/8)}
+	for i, v := range c.Values(nil) {
+		if b := math.Float64bits(v); b != zero {
+			ss.Mask[i/8] |= 1 << (i % 8)
+			ss.Bits = binary.LittleEndian.AppendUint64(ss.Bits, b)
+		}
+	}
+	return ss
+}
+
+// attrBits is an attribute's float fields as bits, telling −0 from 0.
+func attrBits(a soa.Attribute) [2]uint64 {
+	return [2]uint64{math.Float64bits(a.Base), math.Float64bits(a.PerUnit)}
+}
+
+// constraint rebuilds the recorded σ over space.
+func (ss sigmaSnap) constraint(space *core.Space[float64]) (*core.Constraint[float64], error) {
+	if ss.Cells < 0 || len(ss.Mask) != (ss.Cells+7)/8 {
+		return nil, fmt.Errorf("σ mask of %d bytes for %d cells", len(ss.Mask), ss.Cells)
+	}
+	vals, bits := make([]float64, ss.Cells), ss.Bits
+	for i := range vals {
+		vals[i] = space.Semiring().Zero()
+		if ss.Mask[i/8]&(1<<(i%8)) == 0 {
+			continue
+		} else if len(bits) < 8 {
+			return nil, fmt.Errorf("σ bits end before its mask")
+		}
+		vals[i], bits = math.Float64frombits(binary.LittleEndian.Uint64(bits)), bits[8:]
+	}
+	return core.FromValues(space, ss.Scope, vals)
 }
 
 // snapshotDoc is the broker's full compacted state.
 type snapshotDoc struct {
+	// V is 2; a v1 snapshot (still read) held binding histories.
 	V        int            `json:"v"`
 	NextID   int            `json:"nextId"`
 	Registry []soa.Document `json:"registry"`
@@ -247,7 +308,7 @@ func (s *Server) snapshotLocked() error {
 // snapshotState assembles the full broker state. Callers hold the
 // persistMu write lock.
 func (s *Server) snapshotState() snapshotDoc {
-	doc := snapshotDoc{V: 1}
+	doc := snapshotDoc{V: 2}
 	for _, d := range s.reg.Snapshot() {
 		doc.Registry = append(doc.Registry, *d)
 	}
@@ -259,24 +320,30 @@ func (s *Server) snapshotState() snapshotDoc {
 	s.mu.Lock()
 	doc.NextID = s.nextID
 	ids := make([]string, 0, len(s.entries))
-	for id := range s.entries {
-		ids = append(ids, id)
-	}
 	entries := make(map[string]*slaEntry, len(s.entries))
 	for id, e := range s.entries {
+		ids = append(ids, id)
 		entries[id] = e
 	}
 	s.mu.Unlock()
-	sortByIDNumber(ids)
+	// Mint order ("sla-2" before "sla-10") keeps the bytes deterministic.
+	sort.Slice(ids, func(i, j int) bool { return idNumber(ids[i]) < idNumber(ids[j]) })
 	for _, id := range ids {
 		e := entries[id]
 		e.mu.Lock()
 		snap := entrySnap{
 			ID:                id,
 			Req:               e.req,
-			History:           append([]histOp(nil), e.history...),
+			Provider:          e.session.provider,
+			Offer:             e.session.offerAttr,
+			Version:           e.version(),
+			Sigma:             encodeSigma(e.session.store.Constraint()),
 			PriorObservations: e.priorObs,
 			PriorViolations:   e.priorViol,
+		}
+		// Stored only when it differs from the original, bit for bit.
+		if cur, orig := e.session.reqAttr, e.req.Requirement; cur != orig || attrBits(cur) != attrBits(orig) {
+			snap.Requirement = &cur
 		}
 		snap.Monitor.Observations, snap.Monitor.Violations, snap.Monitor.Worst, snap.Monitor.HasWorst = e.mon.counts()
 		e.mu.Unlock()
@@ -344,96 +411,116 @@ func (s *Server) restoreSnapshot(ctx context.Context, state []byte) error {
 		s.health.RestoreBreaker(b.Provider, BreakerState(b.State), b.Failures)
 	}
 	for _, snap := range doc.Entries {
-		e, j, err := s.rebuildEntry(ctx, snap)
+		e, err := s.restoreEntry(ctx, doc.V, snap)
 		if err != nil {
-			return fmt.Errorf("rebuild %s: %w", snap.ID, err)
+			return fmt.Errorf("restore %s: %w", snap.ID, err)
 		}
+		e.mu.Lock()
+		e.mon.restoreCounts(snap.Monitor)
+		e.priorObs, e.priorViol = snap.PriorObservations, snap.PriorViolations
+		e.mu.Unlock()
 		s.mu.Lock()
 		s.entries[snap.ID] = e
 		s.mu.Unlock()
-		s.storeJournal(snap.ID, j)
 	}
 	s.bumpNextID(doc.NextID)
 	return nil
 }
 
-// rebuildEntry replays one entry's binding history through the
-// engine: negotiateOne for the initial binding and each failover,
-// Session.Renegotiate for each accepted relaxation — the identical
-// floating-point operations in the identical order, so the recovered
-// store is bit-exact. Monitor counters are then restored directly;
-// failover windows are not persisted and start empty.
-// The returned journal holds the replayed runs, so the SLA's journal
-// route keeps working after a restart (with only the winning runs:
-// losing providers of the original negotiation are not replayed).
-func (s *Server) rebuildEntry(ctx context.Context, snap entrySnap) (*slaEntry, *journal.Journal, error) {
-	if len(snap.History) == 0 || snap.History[0].Kind != "negotiate" {
-		return nil, nil, fmt.Errorf("history must start with a negotiation")
+// restoreEntry rebuilds an entry without running the engine (v1: see
+// replayHistory): the space compiles from the original request and the
+// offer, the requirement constraint as Renegotiate compiles it, and σ
+// is installed from its bits. The SLA's next renegotiation starts a
+// fresh journal, as after an eviction.
+func (s *Server) restoreEntry(ctx context.Context, v int, snap entrySnap) (*slaEntry, error) {
+	if v == 1 {
+		return s.replayHistory(ctx, snap.Req, snap.History)
 	}
-	j := s.newJournal(ctx, "recovery")
-	jctx := journal.ContextWith(ctx, j)
-	e := &slaEntry{req: snap.Req, history: snap.History}
-	// The entry is unpublished until restoreSnapshot links it into
-	// s.entries, so the lock is uncontended; holding it keeps the
-	// guarded-field discipline uniform.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, op := range snap.History {
-		switch op.Kind {
-		case "negotiate", "failover":
-			if op.Offer == nil {
-				return nil, nil, fmt.Errorf("history op %d (%s) without offer", i, op.Kind)
-			}
-			if op.Kind == "failover" {
-				e.versionBase += e.session.Version()
-			}
-			sess, err := s.replaySession(jctx, snap.Req, op.Provider, *op.Offer)
-			if err != nil {
-				return nil, nil, err
-			}
-			mon, err := NewMonitor(sess.SLA())
-			if err != nil {
-				return nil, nil, err
-			}
-			e.session, e.mon = sess, mon
-		case "renegotiate":
-			if op.Requirement == nil {
-				return nil, nil, fmt.Errorf("history op %d (renegotiate) without requirement", i)
-			}
-			sla, err := e.session.Renegotiate(jctx, *op.Requirement, op.Lower, op.Upper)
-			if err != nil {
-				return nil, nil, err
-			}
-			if sla == nil {
-				return nil, nil, fmt.Errorf("history op %d: renegotiation accepted live but rejected on replay", i)
-			}
-			e.mon.Rebase(sla.AgreedLevel)
-		default:
-			return nil, nil, fmt.Errorf("history op %d has unknown kind %q", i, op.Kind)
-		}
+	sr, err := soa.SemiringFor(snap.Req.Metric)
+	if err != nil {
+		return nil, err
 	}
-	e.mon.restoreCounts(snap.Monitor.Observations, snap.Monitor.Violations,
-		snap.Monitor.Worst, snap.Monitor.HasWorst)
-	e.priorObs, e.priorViol = snap.PriorObservations, snap.PriorViolations
-	return e, j, nil
+	inst, err := newNegInstance(sr, snap.Req.Requirement, snap.Offer)
+	if err != nil {
+		return nil, err
+	}
+	sigma, err := snap.Sigma.constraint(inst.space)
+	if err != nil {
+		return nil, err
+	}
+	sess := newSession(sr, snap.Req, snap.Provider, snap.Offer, inst, core.StoreOf(sigma))
+	cur := snap.Req.Requirement
+	if snap.Requirement != nil {
+		cur = *snap.Requirement
+	}
+	if sess.reqCon, err = cur.ToConstraint(inst.space, inst.resourceVars[cur.Resource]); err != nil {
+		return nil, err
+	}
+	sess.reqAttr, sess.version = cur, snap.Version
+	e := &slaEntry{req: snap.Req}
+	return e, e.bind(sess)
 }
 
-// replaySession re-runs the two-agent negotiation with the recorded
-// winner and offer. The live run already proved it succeeds; a replay
-// that does not is a determinism bug.
-func (s *Server) replaySession(ctx context.Context, req Request, provider string, offer soa.Attribute) (*Session, error) {
-	sr, err := soa.SemiringFor(req.Metric)
-	if err != nil {
-		return nil, err
+// replayHistory rebuilds a v1 entry by replaying its binding history
+// through the engine, with the helpers the WAL tail replays through.
+func (s *Server) replayHistory(ctx context.Context, req Request, history []histOp) (*slaEntry, error) {
+	if len(history) == 0 || history[0].Kind != "negotiate" {
+		return nil, fmt.Errorf("history must start with a negotiation")
 	}
-	po, sess, err := s.negotiator.negotiateOne(ctx, sr, req, provider, offer)
+	e := &slaEntry{req: req}
+	for i, op := range history {
+		var err error
+		switch {
+		case (op.Kind == "negotiate" || op.Kind == "failover") && op.Offer != nil:
+			err = s.replayBind(ctx, e, op.Provider, *op.Offer)
+		case op.Kind == "renegotiate" && op.Requirement != nil:
+			err = replayRenegotiation(ctx, e, *op.Requirement, op.Lower, op.Upper)
+		default:
+			err = fmt.Errorf("malformed %q op", op.Kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("history op %d: %w", i, err)
+		}
+	}
+	return e, nil
+}
+
+// replayBind re-runs the negotiation with the recorded winner and
+// offer and binds e to it: the first binding of a new entry, or a
+// failover's rebinding. The live run already proved it succeeds; a
+// replay that does not is a determinism bug.
+func (s *Server) replayBind(ctx context.Context, e *slaEntry, provider string, offer soa.Attribute) error {
+	sr, err := soa.SemiringFor(e.req.Metric)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	// Negotiated outside e.mu, as live negotiations are.
+	po, sess, err := s.negotiator.negotiateOne(ctx, sr, e.req, provider, offer)
+	if err != nil {
+		return err
 	}
 	if sess == nil || po.Status != sccp.Succeeded {
-		return nil, fmt.Errorf("negotiation with %q succeeded live but ended %s on replay", provider, po.Status)
+		return fmt.Errorf("negotiation with %q succeeded live but ended %s on replay", provider, po.Status)
 	}
-	return sess, nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.bind(sess)
+}
+
+// replayRenegotiation re-runs an accepted renegotiation on e's live
+// session and rebases its monitor.
+func replayRenegotiation(ctx context.Context, e *slaEntry, req soa.Attribute, lower, upper *float64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	sla, err := e.session.Renegotiate(ctx, req, lower, upper)
+	if err != nil {
+		return err
+	}
+	if sla == nil {
+		return fmt.Errorf("renegotiation accepted live but rejected on replay")
+	}
+	e.mon.Rebase(sla.AgreedLevel)
+	return nil
 }
 
 // replayRecord applies one WAL tail record.
@@ -451,15 +538,9 @@ func (s *Server) replayRecord(ctx context.Context, r store.Record) error {
 			return err
 		}
 		s.applyFeedback(nr.Feedback)
-		offer := nr.Offer
-		e, j, err := s.rebuildEntry(ctx, entrySnap{
-			ID:  nr.ID,
-			Req: nr.Req,
-			History: []histOp{{
-				Kind: "negotiate", Provider: nr.Provider, Offer: &offer,
-			}},
-		})
-		if err != nil {
+		e := &slaEntry{req: nr.Req}
+		j := s.newJournal(ctx, "recovery")
+		if err := s.replayBind(journal.ContextWith(ctx, j), e, nr.Provider, nr.Offer); err != nil {
 			return err
 		}
 		s.mu.Lock()
@@ -468,7 +549,8 @@ func (s *Server) replayRecord(ctx context.Context, r store.Record) error {
 		s.storeJournal(nr.ID, j)
 		s.bumpNextID(idNumber(nr.ID))
 		return nil
-	case recNegFail:
+	case recNegFail, recCompose:
+		// Both mint an id; a compose record carries no feedback.
 		var fr negFailRecord
 		if err := json.Unmarshal(r.Data, &fr); err != nil {
 			return err
@@ -489,27 +571,9 @@ func (s *Server) replayRecord(ctx context.Context, r store.Record) error {
 		if !ok {
 			j = s.newJournal(ctx, "recovery")
 		}
-		jctx := journal.ContextWith(ctx, j)
-		// Replay is single-threaded, but session, mon and history are
-		// guarded by e.mu everywhere else; holding it here keeps the
-		// invariant uniform. Released before storeJournal so the
-		// documented s.mu → e.mu order is never reversed.
-		e.mu.Lock()
-		sla, err := e.session.Renegotiate(jctx, rr.Requirement, rr.Lower, rr.Upper)
-		if err != nil {
-			e.mu.Unlock()
-			return err
+		if err := replayRenegotiation(journal.ContextWith(ctx, j), e, rr.Requirement, rr.Lower, rr.Upper); err != nil {
+			return fmt.Errorf("%s: %w", rr.ID, err)
 		}
-		if sla == nil {
-			e.mu.Unlock()
-			return fmt.Errorf("renegotiation of %q accepted live but rejected on replay", rr.ID)
-		}
-		e.mon.Rebase(sla.AgreedLevel)
-		req := rr.Requirement
-		e.history = append(e.history, histOp{
-			Kind: "renegotiate", Requirement: &req, Lower: rr.Lower, Upper: rr.Upper,
-		})
-		e.mu.Unlock()
 		s.storeJournal(rr.ID, j)
 		return nil
 	case recObserve, recSLOFailover:
@@ -533,39 +597,13 @@ func (s *Server) replayRecord(ctx context.Context, r store.Record) error {
 		if !or.FailedOver {
 			return nil
 		}
-		return s.replayFailover(ctx, e, or)
-	case recCompose:
-		var cr composeRecord
-		if err := json.Unmarshal(r.Data, &cr); err != nil {
-			return err
+		if or.Offer == nil {
+			return fmt.Errorf("failover record for %q without offer", or.ID)
 		}
-		s.bumpNextID(idNumber(cr.ID))
-		return nil
+		return s.replayBind(ctx, e, or.Provider, *or.Offer)
 	default:
 		return fmt.Errorf("unknown record type %q", r.Type)
 	}
-}
-
-// replayFailover rebinds e to the provider and offer a failover
-// record names, replaying the negotiation through the engine.
-func (s *Server) replayFailover(ctx context.Context, e *slaEntry, or observeRecord) error {
-	if or.Offer == nil {
-		return fmt.Errorf("failover record for %q without offer", or.ID)
-	}
-	// Rebuilt outside e.mu — replaySession takes s.mu and the lock
-	// order is s.mu → e.mu, never the reverse.
-	sess, err := s.replaySession(ctx, e.req, or.Provider, *or.Offer)
-	if err != nil {
-		return err
-	}
-	mon, err := NewMonitor(sess.SLA())
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.rebind(sess, mon)
-	e.mu.Unlock()
-	return nil
 }
 
 // applyFeedback replays recorded breaker effects verbatim.
@@ -623,10 +661,4 @@ func idNumber(id string) int {
 		return 0
 	}
 	return n
-}
-
-// sortByIDNumber orders minted ids by their numeric suffix, so
-// snapshot entries replay in mint order ("sla-2" before "sla-10").
-func sortByIDNumber(ids []string) {
-	sort.Slice(ids, func(i, j int) bool { return idNumber(ids[i]) < idNumber(ids[j]) })
 }

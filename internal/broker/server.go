@@ -134,10 +134,6 @@ type slaEntry struct {
 	// versionBase offsets session.Version() so the wire version keeps
 	// increasing monotonically across failovers. guarded by mu
 	versionBase int
-	// history is the entry's binding history (initial negotiation,
-	// accepted renegotiations, failovers), enough to rebuild the
-	// session deterministically from a snapshot. guarded by mu
-	history []histOp
 	// priorObs/priorViol are the lifetime counts of the bindings
 	// that failovers replaced, so compliance spans the SLA's whole
 	// life. guarded by mu
@@ -147,18 +143,23 @@ type slaEntry struct {
 // version is the wire version of the agreement. Callers hold e.mu.
 func (e *slaEntry) version() int { return e.versionBase + e.session.Version() }
 
-// rebind installs a failover's new binding: the old session's
-// version and the old monitor's counts carry over, a fresh monitor
-// (with an empty failover window) takes over, and the failover joins
-// the binding history. Callers hold e.mu.
-func (e *slaEntry) rebind(session *Session, mon *Monitor) {
-	obs, viol, _, _ := e.mon.counts()
-	e.priorObs += obs
-	e.priorViol += viol
-	e.versionBase += e.session.Version()
+// bind installs a binding with a fresh monitor (and an empty failover
+// window): a new entry's first, or a failover's, to which the old
+// session's version and the old monitor's counts carry over. Callers
+// hold e.mu.
+func (e *slaEntry) bind(session *Session) error {
+	mon, err := NewMonitor(&soa.SLA{Metric: session.metric, AgreedLevel: session.AgreedLevel()})
+	if err != nil {
+		return err
+	}
+	if e.session != nil {
+		obs, viol, _, _ := e.mon.counts()
+		e.priorObs += obs
+		e.priorViol += viol
+		e.versionBase += e.session.Version()
+	}
 	e.session, e.mon = session, mon
-	offer := session.offerAttr
-	e.history = append(e.history, histOp{Kind: "failover", Provider: session.Provider(), Offer: &offer})
+	return nil
 }
 
 // Server is the broker daemon: registry + negotiator + composer
@@ -576,32 +577,29 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 		s.persistMu.RUnlock()
 		s.maybeSnapshot()
 		s.keepJournal(w, id, j)
-		s.logger.InfoContext(ctx, "negotiation found no agreement",
-			"service", req.Service, "client", req.Client, "journal", id)
+		logOutcome(w, "no_agreement", "service", req.Service, "client", req.Client, "journal", id)
 		writeXML(w, http.StatusConflict, failureFromOutcome("no shared agreement", outcome))
 		return
 	}
 	// A live agreement without a monitor would 404 on /observe and
 	// /compliance forever; fail the negotiation instead of signing an
 	// unmonitorable SLA.
-	mon, err := NewMonitor(sla)
-	if err != nil {
+	e := &slaEntry{req: req}
+	if err := e.bind(session); err != nil {
 		s.bm.negOutcomes.With("error").Inc()
 		writeError(w, http.StatusInternalServerError, "monitor: "+err.Error())
 		return
 	}
 	commit := obs.StartSpan(ctx, "sla-commit")
-	offer := session.offerAttr
 	s.persistMu.RLock()
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("sla-%d", s.nextID)
-	s.entries[id] = &slaEntry{session: session, mon: mon, req: req,
-		history: []histOp{{Kind: "negotiate", Provider: session.Provider(), Offer: &offer}}}
+	s.entries[id] = e
 	live := len(s.entries)
 	s.mu.Unlock()
 	s.appendRecord(recNegotiate, negotiateRecord{
-		ID: id, Req: req, Provider: session.Provider(), Offer: offer,
+		ID: id, Req: req, Provider: session.Provider(), Offer: session.offerAttr,
 		Feedback: feedbackFromOutcome(outcome),
 	})
 	s.persistMu.RUnlock()
@@ -613,8 +611,7 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	sla.ID = id
 	sla.Version = session.Version()
 	s.keepJournal(w, id, j)
-	s.logger.InfoContext(ctx, "negotiation agreed",
-		"service", req.Service, "client", req.Client, "sla", id,
+	logOutcome(w, "agreed", "service", req.Service, "client", req.Client, "sla", id,
 		"provider", session.Provider(), "blevel", sla.AgreedLevel)
 	writeXML(w, http.StatusOK, sla)
 }
@@ -693,7 +690,7 @@ func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 		e.mu.Unlock()
 		s.persistMu.RUnlock()
 		s.keepJournal(w, id, j)
-		s.logger.InfoContext(ctx, "renegotiation rejected", "sla", id)
+		logOutcome(w, "rejected", "sla", id)
 		writeXML(w, http.StatusConflict, FailureResponse{
 			Reason: "renegotiation rejected: the relaxed store violates the interval; previous agreement stands",
 		})
@@ -702,10 +699,6 @@ func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 	sla.ID = id
 	sla.Version = e.version()
 	e.mon.Rebase(sla.AgreedLevel)
-	newReq := rr.Requirement
-	e.history = append(e.history, histOp{
-		Kind: "renegotiate", Requirement: &newReq, Lower: rr.Lower, Upper: rr.Upper,
-	})
 	s.appendRecord(recRenegotiate, renegotiateRecord{
 		ID: id, Requirement: rr.Requirement, Lower: rr.Lower, Upper: rr.Upper,
 	})
@@ -713,8 +706,7 @@ func (s *Server) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 	s.persistMu.RUnlock()
 	s.maybeSnapshot()
 	s.keepJournal(w, id, j)
-	s.logger.InfoContext(ctx, "renegotiation agreed",
-		"sla", id, "version", sla.Version, "blevel", sla.AgreedLevel)
+	logOutcome(w, "agreed", "sla", id, "version", sla.Version, "blevel", sla.AgreedLevel)
 	writeXML(w, http.StatusOK, sla)
 }
 
@@ -764,6 +756,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			s.bm.failovers.With("rebound").Inc()
 			resp.FailedOver = true
 			resp.Provider = e.session.Provider()
+			logOutcome(w, "failed_over", "sla", or.ID, "from", provider, "to", resp.Provider)
 			offer := e.session.offerAttr
 			rec.FailedOver = true
 			rec.Provider = resp.Provider
@@ -807,14 +800,9 @@ func (s *Server) failOverLocked(ctx context.Context, e *slaEntry) (bool, []feedb
 			"service", e.req.Service, "provider", sick)
 		return false, fb
 	}
-	mon, err := NewMonitor(sla)
-	if err != nil {
+	if e.bind(session) != nil {
 		return false, fb
 	}
-	e.rebind(session, mon)
-	s.logger.InfoContext(ctx, "failover rebound agreement",
-		"service", e.req.Service, "from", sick, "to", session.Provider(),
-		"blevel", sla.AgreedLevel)
 	return true, fb
 }
 
@@ -907,15 +895,13 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	if sla == nil {
 		j.EndSegment("no_composition", "", "")
 		s.keepJournal(w, id, j)
-		s.logger.InfoContext(ctx, "composition found no pipeline",
-			"client", req.Client, "stages", len(req.Stages), "journal", id)
+		logOutcome(w, "no_composition", "client", req.Client, "stages", len(req.Stages), "journal", id)
 		writeXML(w, http.StatusConflict, FailureResponse{Reason: "no composition meets the requirement"})
 		return
 	}
 	j.EndSegment("composed", "", fmt.Sprintf("%g", comp.Total))
 	s.keepJournal(w, id, j)
-	s.logger.InfoContext(ctx, "composition solved",
-		"client", req.Client, "mode", mode, "stages", len(req.Stages),
+	logOutcome(w, "composed", "client", req.Client, "mode", mode, "stages", len(req.Stages),
 		"total", comp.Total, "journal", id)
 	writeXML(w, http.StatusOK, sla)
 }

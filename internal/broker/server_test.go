@@ -1,15 +1,19 @@
 package broker
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"softsoa/internal/obs"
 	"softsoa/internal/soa"
 )
 
@@ -254,5 +258,69 @@ func TestConcurrentNegotiations(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestOneInfoRecordPerRequest: a request's outcome rides on its
+// access line, so each negotiate, renegotiate and compose request
+// writes exactly one Info record, carrying the trace id, route, status
+// and outcome.
+func TestOneInfoRecordPerRequest(t *testing.T) {
+	var logs bytes.Buffer
+	srv := NewServer(DefaultLinkPenalty, WithLogger(obs.NewLogger(&logs, true, slog.LevelInfo)))
+	// Requests are served in process: the access line is written when
+	// ServeHTTP returns, not when a remote client reads the response.
+	serve := func(path, trace, body string) {
+		r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		r.Header.Set(obs.TraceHeader, trace)
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), r)
+	}
+	serve("/v1/providers", "publish",
+		`<qos service="svc" provider="p1" region="eu"><attribute name="fee" metric="cost" base="2" perUnit="0" resource="failures" maxUnits="10"/></qos>`)
+	negotiate := func(lower string) string {
+		return `<negotiate service="svc" client="shop" metric="cost"><requirement metric="cost" base="0" perUnit="2" resource="failures" maxUnits="10"/><lower>` + lower + `</lower></negotiate>`
+	}
+	renegotiate := func(lower string) string {
+		return `<renegotiate id="sla-1"><requirement metric="cost" base="0" perUnit="1" resource="failures" maxUnits="10"/><lower>` + lower + `</lower></renegotiate>`
+	}
+	compose := func(lower string) string {
+		return `<compose client="shop" metric="cost"><stage>svc</stage><lower>` + lower + `</lower></compose>`
+	}
+	cases := []struct {
+		trace, route, path, body, outcome string
+		status                            float64
+	}{
+		{"neg-agreed", "/v1/negotiations", "/v1/negotiations", negotiate("40"), "agreed", 200},
+		{"neg-none", "/v1/negotiations", "/v1/negotiations", negotiate("0.5"), "no_agreement", 409},
+		{"reneg-agreed", "/v1/negotiations/{id}/renegotiate", "/v1/negotiations/sla-1/renegotiate", renegotiate("40"), "agreed", 200},
+		{"reneg-rejected", "/v1/negotiations/{id}/renegotiate", "/v1/negotiations/sla-1/renegotiate", renegotiate("0.5"), "rejected", 409},
+		{"comp-composed", "/v1/compositions", "/v1/compositions", compose("40"), "composed", 200},
+		{"comp-none", "/v1/compositions", "/v1/compositions", compose("0.5"), "no_composition", 409},
+	}
+	for _, tc := range cases {
+		serve(tc.path, tc.trace, tc.body)
+	}
+	byTrace := map[string][]map[string]any{}
+	dec := json.NewDecoder(&logs)
+	for dec.More() {
+		var rec map[string]any
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["level"] == "INFO" {
+			trace, _ := rec["trace"].(string)
+			byTrace[trace] = append(byTrace[trace], rec)
+		}
+	}
+	for _, tc := range cases {
+		recs := byTrace[tc.trace]
+		if len(recs) != 1 {
+			t.Errorf("%s wrote %d Info records, want 1: %v", tc.trace, len(recs), recs)
+			continue
+		}
+		rec := recs[0]
+		if rec["msg"] != "request" || rec["route"] != tc.route || rec["status"] != tc.status || rec["outcome"] != tc.outcome {
+			t.Errorf("%s: access line %v, want route %s status %v outcome %s", tc.trace, rec, tc.route, tc.status, tc.outcome)
+		}
 	}
 }

@@ -20,25 +20,34 @@ import (
 // A Session is not safe for concurrent use; the broker server
 // serialises access per SLA.
 type Session struct {
-	provider     string
-	service      string
-	client       string
-	metric       soa.Metric
-	sr           semiring.Semiring[float64]
-	space        *core.Space[float64]
-	store        *core.Store[float64]
-	reqCon       *core.Constraint[float64]
-	resourceVars map[string]core.Variable
-	version      int
+	provider string
+	service  string
+	client   string
+	metric   soa.Metric
+	sr       semiring.Semiring[float64]
+	// inst is the compiled negotiation the session was agreed on: its
+	// space, resource variables and their ranges (shared read-only).
+	inst    *negInstance
+	store   *core.Store[float64]
+	reqCon  *core.Constraint[float64]
+	version int
 
-	// offerAttr, reqAttr and maxUnits remember the QoS policies and
-	// variable ranges the session was negotiated under, so a
-	// renegotiation journal segment can synthesise a replayable
-	// program (journalprog.go). reqAttr tracks the current
-	// requirement across renegotiations.
+	// offerAttr and reqAttr remember the QoS policies the session was
+	// negotiated under, so a renegotiation journal segment can
+	// synthesise a replayable program (journalprog.go). reqAttr tracks
+	// the current requirement across renegotiations.
 	offerAttr soa.Attribute
 	reqAttr   soa.Attribute
-	maxUnits  map[string]int
+}
+
+// newSession is the session of a negotiation with provider that
+// agreed on inst with final store: version 1, under req's requirement.
+func newSession(sr semiring.Semiring[float64], req Request, provider string, offer soa.Attribute,
+	inst *negInstance, store *core.Store[float64]) *Session {
+	return &Session{
+		provider: provider, service: req.Service, client: req.Client, metric: req.Metric, sr: sr,
+		inst: inst, store: store, reqCon: inst.reqCon, version: 1, offerAttr: offer, reqAttr: req.Requirement,
+	}
 }
 
 // Provider returns the bound provider.
@@ -60,7 +69,7 @@ func (s *Session) SLA() *soa.SLA {
 		Metric:      s.metric,
 		AgreedLevel: s.store.Blevel(),
 	}
-	res := bestResources(s.sr, s.store.Constraint(), s.resourceVars)
+	res := bestResources(s.sr, s.store.Constraint(), s.inst.resourceVars)
 	names := make([]string, 0, len(res))
 	for name := range res {
 		names = append(names, name)
@@ -93,11 +102,11 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 		return nil, fmt.Errorf("broker: renegotiation metric %q differs from session metric %q",
 			newReq.Metric, s.metric)
 	}
-	resVar, ok := s.resourceVars[newReq.Resource]
+	resVar, ok := s.inst.resourceVars[newReq.Resource]
 	if !ok {
 		return nil, fmt.Errorf("broker: renegotiation resource %q not part of the session", newReq.Resource)
 	}
-	newCon, err := newReq.ToConstraint(s.space, resVar)
+	newCon, err := newReq.ToConstraint(s.inst.space, resVar)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +137,7 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 	}
 
 	snapshot := s.store.Snapshot()
-	m := sccp.NewMachine(s.space, agent, machineOpts...)
+	m := sccp.NewMachine(s.inst.space, agent, machineOpts...)
 	status, err := m.Run(renegotiationFuel)
 	if err != nil {
 		if j != nil {

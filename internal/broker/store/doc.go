@@ -7,9 +7,10 @@
 // Record is an opaque (type, payload) pair stamped with a
 // monotonically increasing sequence number; the broker serialises its
 // mutations (register / negotiate / renegotiate / observe / compose)
-// into records and replays them through its own deterministic engine
-// on startup — the same bit-exact machinery the flight recorder
-// (internal/obs/journal) relies on.
+// into records and replays the WAL tail through its own deterministic
+// engine on startup — the same bit-exact machinery the flight recorder
+// (internal/obs/journal) relies on. A snapshot is the broker's state,
+// restored as it is: each SLA's binding and its store's raw bits.
 //
 // Two implementations ship:
 //

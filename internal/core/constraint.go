@@ -267,6 +267,22 @@ func (c *Constraint[T]) Values(dst []T) []T {
 	return append(dst, c.table...)
 }
 
+// FromValues is the inverse of Values: the constraint over scope (in
+// declaration order, as Scope returns it) whose table is values.
+func FromValues[T any](s *Space[T], scope []Variable, values []T) (*Constraint[T], error) {
+	for i, v := range scope {
+		if _, ok := s.index[v]; !ok || i > 0 && s.index[v] <= s.index[scope[i-1]] {
+			return nil, fmt.Errorf("core: scope %v is not declared variables in declaration order", scope)
+		}
+	}
+	c := newEmpty(s, scope)
+	if len(values) != len(c.table) {
+		return nil, fmt.Errorf("core: %d values for a table of %d over %v", len(values), len(c.table), scope)
+	}
+	copy(c.table, values)
+	return c, nil
+}
+
 // String renders the constraint as a readable table, tuples in
 // mixed-radix order.
 func (c *Constraint[T]) String() string {

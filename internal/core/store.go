@@ -25,6 +25,12 @@ func NewStore[T any](s *Space[T]) *Store[T] {
 	return &Store[T]{space: s, sigma: Top(s)}
 }
 
+// StoreOf returns the store σ = c with c's bits as they are; telling c
+// onto 1̄ need not keep them (weighted: 0 + −0 is 0).
+func StoreOf[T any](c *Constraint[T]) *Store[T] {
+	return &Store[T]{space: c.space, sigma: c}
+}
+
 // Space returns the store's space.
 func (st *Store[T]) Space() *Space[T] { return st.space }
 

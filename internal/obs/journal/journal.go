@@ -212,8 +212,9 @@ type Segment struct {
 // Concurrent readers may call Source at the same time.
 type Program interface {
 	// Source returns the program text and the number of its leading
-	// setup transitions; an empty text withholds the program.
-	Source() (src string, setup int)
+	// setup transitions; an empty text withholds the program, and
+	// withheld, appended to the segment's note, may say why.
+	Source() (src string, setup int, withheld string)
 }
 
 // Event is one journal line: a transition or a solver record, tagged
@@ -282,12 +283,15 @@ type segment struct {
 }
 
 // render returns the wire form. A deferred program adds its setup
-// transitions to the recorded fuel, which budgets the live run only.
+// transitions to the recorded fuel, which budgets the live run only,
+// and the reason it was withheld, if it was, to the note.
 func (s *segment) render(format func(float64) string) Segment {
 	out := s.Segment
 	if s.program != nil {
-		out.Program, out.Setup = s.program.Source()
+		var withheld string
+		out.Program, out.Setup, withheld = s.program.Source()
 		out.Fuel += out.Setup
+		out.Note += withheld
 	}
 	if s.store != nil {
 		out.FinalStore = s.store.String()
@@ -557,7 +561,7 @@ func (j *Journal) keep(snap snapshot, segments []Segment) {
 	for i := range snap.segments {
 		sn, s, out := &snap.segments[i], &j.segments[i], &segments[i]
 		if sn.program != nil && s.program != nil {
-			s.Program, s.Setup, s.Fuel, s.program = out.Program, out.Setup, out.Fuel, nil
+			s.Program, s.Setup, s.Fuel, s.Note, s.program = out.Program, out.Setup, out.Fuel, out.Note, nil
 		}
 		if sn.store != nil && s.store != nil {
 			s.FinalStore, s.store = out.FinalStore, nil

@@ -25,7 +25,7 @@ type program struct {
 	setup int
 }
 
-func (p program) Source() (string, int) { return p.src, p.setup }
+func (p program) Source() (string, int, string) { return p.src, p.setup, "" }
 
 // carrier renders values with two decimals and counts the calls.
 type carrier struct{ calls *int }
@@ -230,7 +230,7 @@ type counted struct {
 
 func (c counted) String() string { *c.calls++; return c.s }
 
-func (c counted) Source() (string, int) { *c.calls++; return c.s, 0 }
+func (c counted) Source() (string, int, string) { *c.calls++; return c.s, 0, "" }
 
 // TestReadRendersOnce: a sink rewrites a journal after every
 // renegotiation, so a second read must not render again what the
