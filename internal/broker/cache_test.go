@@ -579,9 +579,9 @@ func firstSightingNegotiation(tb testing.TB) func() {
 }
 
 // firstSightingAllocs bounds firstSightingNegotiation's allocations:
-// 1 348 measured, coldNegotiation's 1 340 plus one per provider for
-// its plan key, plus 5%.
-const firstSightingAllocs = 1415
+// 924 measured, coldNegotiation's 916 plus one per provider for its
+// plan key, plus 5%.
+const firstSightingAllocs = 971
 
 // TestFirstSightingAllocs: a first sighting costs what a cold
 // negotiation costs plus its key hashes — no transition capture, no

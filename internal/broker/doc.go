@@ -28,12 +28,26 @@
 // Every request is traced: the server adopts the client's
 // X-Softsoa-Trace header (minting an ID when absent), echoes it on
 // the response, and records the pipeline stages — parse, per-provider
-// c∅ precheck, nmsccp run, SLA commit — as spans in a ring buffer
-// served by GET /v1/debug/traces. Metrics cover per-route HTTP
-// traffic, negotiation outcomes and agreed levels, composition solve
-// work and time, breaker transitions, live SLAs, observations and
-// failovers; see the README's Observability section for the
-// catalogue.
+// c∅ precheck, nmsccp run (the direct application), SLA commit — as
+// spans in a ring buffer served by GET /v1/debug/traces. Metrics
+// cover per-route HTTP traffic, negotiation outcomes and agreed
+// levels, composition solve work and time, breaker transitions, live
+// SLAs, observations and failovers; see the README's Observability
+// section for the catalogue.
+//
+// # Negotiation without the machine
+//
+// A negotiation is the two straight-line agents of Example 1 and a
+// renegotiation one retract followed by one checked tell, so the
+// broker applies their effects with the store's own Tell and Retract,
+// in the order the machine's seed-1 schedule applies them, and
+// evaluates the checked ask or tell: same status, σ bit for bit, σ⇓∅
+// and resources as the machine, which direct_test.go checks. A
+// journal segment keeps the run's captured inputs, its outcome and one
+// pointer-free event slot per transition the machine records, and
+// runs the machine once, when the journal is first read, to derive
+// those transitions and the final σ (journalprog.go). The session
+// keeps the SLA view of each agreement, computed once.
 //
 // # Options convention
 //
@@ -59,8 +73,8 @@
 // WithSolveCache overrides the default (nil disables). With the cache
 // on, repeat negotiations with identical content replay memoised
 // plans, emitting byte-identical flight-recorder journals without
-// re-running the transition machine. Renegotiations are not cached:
-// each runs its retract/tell machine on the session's live store. A
+// applying the agents again. Renegotiations are not cached: each
+// applies its retract/tell to the session's live store. A
 // plan is stored on the second sighting of its key, so a request seen
 // once costs no cache memory, and it replays from the third. The c∅ precheck is one
 // node-consistency fold per provider and is not cached.

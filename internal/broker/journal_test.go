@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -476,9 +477,9 @@ func TestJournalCapturedUnderRenegotiation(t *testing.T) {
 
 // coldNegotiation is one cold negotiation (no solve cache) across
 // eight providers with a journal attached, the way the broker records
-// every negotiation: two providers are prechecked doomed, six run the
-// nmsccp machine. Nothing reads the journal, so its allocations are
-// the recorder's cost on the request path.
+// every negotiation: two providers are prechecked doomed, six apply
+// the agents. Nothing reads the journal, so its allocations are the
+// recorder's cost on the request path.
 func coldNegotiation(tb testing.TB) func() {
 	reg := soa.NewRegistry()
 	for i := 0; i < 8; i++ {
@@ -514,10 +515,11 @@ func BenchmarkColdNegotiationJournaled(b *testing.B) {
 	}
 }
 
-// coldNegotiationAllocs bounds coldNegotiation's allocations: 1 340
-// measured with the shared seed-1 scheduler stream, read-time agent
-// text and the direct c∅ fold, plus 5%.
-const coldNegotiationAllocs = 1407
+// coldNegotiationAllocs bounds coldNegotiation's allocations: 916
+// measured with the agents' effects applied to the store directly and
+// the runs deferred to the journal's first read (1 340 when every
+// provider ran the machine), plus 5%.
+const coldNegotiationAllocs = 962
 
 // TestColdNegotiationAllocs keeps the cold journaled negotiation at
 // its measured allocation count. The race detector allocates on its
@@ -528,6 +530,82 @@ func TestColdNegotiationAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, coldNegotiation(t)); n > coldNegotiationAllocs {
 		t.Errorf("cold journaled negotiation allocates %.0f times, ceiling %d", n, coldNegotiationAllocs)
+	}
+}
+
+// retainedJournalBytes bounds what TestNegotiationJournalRetainedBytes
+// measures: 7 293 B with deferred runs (41 402 B when every run kept
+// its machine's transitions, spaces and σ), plus 10%.
+const retainedJournalBytes = 8022
+
+// coldCatalogue is negotiate-cold's catalogue shape: eight cost
+// providers over one units resource, their fees falling per unit.
+func coldCatalogue(tb testing.TB) *soa.Registry {
+	reg := soa.NewRegistry()
+	for i := 0; i < 8; i++ {
+		doc := &soa.Document{
+			Service: "cold", Provider: fmt.Sprintf("cold-p%d", i+1), Region: "eu",
+			Attributes: []soa.Attribute{{
+				Name: "fee", Metric: soa.MetricCost, Base: 1 + 0.5*float64(i),
+				PerUnit: -0.25 * float64(1+i%4), Resource: "units", MaxUnits: 8 + 2*i,
+			}},
+		}
+		if err := reg.Publish(doc); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// coldRequests draws n distinct negotiate-cold requirements, each with
+// a lower bound every provider meets.
+func coldRequests(n int) []Request {
+	rng := rand.New(rand.NewSource(150))
+	quarter := func(lo, hi int) float64 { return float64(lo+rng.Intn(hi-lo+1)) / 4 }
+	out := make([]Request, n)
+	for i := range out {
+		out[i] = Request{
+			Service: "cold", Client: "buyer", Metric: soa.MetricCost,
+			Requirement: soa.Attribute{
+				Name: "budget", Metric: soa.MetricCost,
+				Base: quarter(0, 40), PerUnit: quarter(1, 100), Resource: "units", MaxUnits: 4 + rng.Intn(21),
+			},
+			Lower: fptr(10000 + quarter(0, 40000)),
+		}
+	}
+	return out
+}
+
+// TestNegotiationJournalRetainedBytes bounds the heap a retained cold
+// negotiation journal keeps once nothing else refers to the
+// negotiation: 256 journals, the broker's retention bound, over
+// negotiate-cold's catalogue shape. A run keeps its program inputs,
+// outcome and pointer-free event slots; the machine's transitions and
+// σ are derived only when the journal is read. The race detector
+// allocates on its own, so the test skips under -race.
+func TestNegotiationJournalRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const journals = 256
+	n := NewNegotiator(coldCatalogue(t))
+	reqs := coldRequests(journals)
+	kept := make([]*journal.Journal, journals)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, req := range reqs {
+		kept[i] = journal.New(journal.DefaultCapacity, journal.Meta{Kind: "negotiation"})
+		sla, _, err := n.Negotiate(journal.ContextWith(context.Background(), kept[i]), req)
+		if err != nil || sla == nil {
+			t.Fatalf("negotiation %d: sla %v, err %v", i, sla, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	if per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / journals; per > retainedJournalBytes {
+		t.Errorf("a retained negotiation journal holds %.0f B of heap, ceiling %d", per, retainedJournalBytes)
 	}
 }
 

@@ -9,18 +9,21 @@ import (
 	"sync"
 
 	"softsoa/internal/core"
+	"softsoa/internal/obs/journal"
 	"softsoa/internal/sccp"
+	"softsoa/internal/semiring"
 	"softsoa/internal/soa"
 )
 
 // This file synthesises nmsccp surface programs for journal segments so
 // cmd/softsoa-replay can re-execute a broker negotiation from nothing
 // but the journal. The synthesised source compiles to the exact agent
-// tree negotiateOne / Renegotiate build in memory: the same variable
-// declaration order, the same constraint value functions (the compiled
-// expression evaluates base + per·x through the identical floating-
-// point operations as soa.Attribute.ToConstraint), the same sync-flag
-// comparisons and the same checked transition. Replaying it with the
+// tree negotiationAgents / renegotiationAgent build in memory: the
+// same variable declaration order, the same constraint value
+// functions (the compiled expression evaluates base + per·x through
+// the identical floating-point operations as
+// soa.Attribute.ToConstraint), the same sync-flag comparisons and the
+// same checked transition. Replaying it with the
 // machine's default seed therefore reproduces every recorded
 // transition, the final store and the blevel bit for bit.
 //
@@ -33,6 +36,12 @@ import (
 // replays into, and brokerd -journal-dir rewrites an SLA's journal on
 // the request goroutine after every renegotiation, so without the
 // kept text each dump would prove every earlier segment again.
+//
+// The same captured inputs are the segment's run. The broker applies a
+// negotiation's or renegotiation's effects to the store without the
+// machine and reserves the transitions the machine would record; the
+// first read of the journal calls Replay, which runs the machine once
+// on the in-memory agents and hands over its transitions and final σ.
 //
 // Synthesis can fail — a resource named after a keyword, a negative
 // threshold the surface grammar cannot spell, a non-finite attribute.
@@ -155,7 +164,7 @@ func (t *programText) get(render func() (string, int, string)) (string, int, str
 }
 
 // storeText is a run's final σ, rendered by the first read: a cached
-// plan hands the same σ to every segment it replays into.
+// plan hands the same run to every segment it replays into.
 type storeText struct {
 	once sync.Once
 	c    *core.Constraint[float64]
@@ -165,66 +174,139 @@ type storeText struct {
 // String renders σ once and keeps the text in its place.
 func (t *storeText) String() string {
 	t.once.Do(func() {
-		t.s = t.c.String()
+		if t.c != nil {
+			t.s = t.c.String()
+		}
 		t.c = nil
 	})
 	return t.s
 }
 
-// negProgram is a negotiation segment's program, captured as the
-// inputs negotiationJournalProgram renders it from. Every field is
-// immutable once captured (the bounds by Request's contract), so a
-// journal may render it at any time.
+// transitionLog collects the transitions a replayed run records.
+type transitionLog []journal.Transition
+
+func (l *transitionLog) RecordTransition(t journal.Transition) { *l = append(*l, t) }
+
+// derivedRun is a deferred run's transitions and final σ, derived by
+// the first read that asks for them: the machine runs once however
+// many readers, and however many segments a cached plan replays the
+// run into, ask at the same time.
+type derivedRun struct {
+	once  sync.Once
+	trs   []journal.Transition
+	final storeText
+}
+
+// get runs run once, handing it the recorder to record into; run
+// returns the machine's final σ.
+func (r *derivedRun) get(run func(rec journal.Recorder) *core.Constraint[float64]) ([]journal.Transition, fmt.Stringer) {
+	r.once.Do(func() {
+		var log transitionLog
+		r.final.c = run(&log)
+		r.trs = log
+	})
+	return r.trs, &r.final
+}
+
+// negProgram is a negotiation segment's program and run, captured as
+// the inputs negotiationJournalProgram renders it from and
+// negotiationAgents runs. Every field is immutable once captured (the
+// bounds by Request's contract), so a journal may render or replay it
+// at any time.
 type negProgram struct {
 	text         programText
-	srName       string
+	run          derivedRun
+	sr           semiring.Semiring[float64]
 	offer, req   soa.Attribute
-	names        []string
-	maxUnits     map[string]int
 	lower, upper *float64
 }
 
-func newNegProgram(srName string, offer, req soa.Attribute, inst *negInstance, lower, upper *float64) *negProgram {
-	return &negProgram{
-		srName: srName, offer: offer, req: req,
-		names: inst.names, maxUnits: inst.maxUnits,
-		lower: lower, upper: upper,
-	}
+func newNegProgram(sr semiring.Semiring[float64], offer, req soa.Attribute, lower, upper *float64) *negProgram {
+	return &negProgram{sr: sr, offer: offer, req: req, lower: lower, upper: upper}
 }
 
 // Source implements journal.Program.
 func (p *negProgram) Source() (string, int, string) {
 	return p.text.get(func() (string, int, string) {
-		return negotiationJournalProgram(p.srName, p.offer, p.req, p.names, p.maxUnits, p.lower, p.upper), 0, ""
+		names, maxUnits := negVars(p.req, p.offer)
+		return negotiationJournalProgram(p.sr.Name(), p.offer, p.req, names, maxUnits, p.lower, p.upper), 0, ""
 	})
 }
 
-// renegProgram is a renegotiation segment's program, captured before
-// the run mutates the session: the session's offer and current
-// requirement, and σ as the run found it (constraints are immutable),
-// whose bits the setup must rebuild.
+// Replay implements journal.Run: it compiles the instance again and
+// runs the machine on the two agents, as the broker did before it
+// applied their effects directly.
+func (p *negProgram) Replay() ([]journal.Transition, fmt.Stringer) {
+	return p.run.get(func(rec journal.Recorder) *core.Constraint[float64] {
+		inst, err := newNegInstance(p.sr, p.req, p.offer)
+		if err != nil {
+			// The live run compiled the same inputs.
+			return nil
+		}
+		m := sccp.NewMachine(inst.space, negotiationAgents(inst, p.check()), sccp.WithRecorder(rec))
+		runMachine(m, negotiationFuel)
+		return m.Store().Constraint()
+	})
+}
+
+func (p *negProgram) check() sccp.Check[float64] {
+	return sccp.Check[float64]{LowerValue: p.lower, UpperValue: p.upper}
+}
+
+// runMachine runs a negotiation's or renegotiation's machine. Its
+// agents are straight-line and the fuel covers them, so Run cannot
+// fail; the status and what the machine recorded are the run either
+// way.
+func runMachine(m *sccp.Machine[float64], fuel int) sccp.Status {
+	//lint:ignore errcheck straight-line agents within their fuel cannot fail
+	status, _ := m.Run(fuel)
+	return status
+}
+
+// renegProgram is a renegotiation segment's program and run, captured
+// before the session changes: the session's instance, offer and
+// current requirement, and σ as the renegotiation found it
+// (constraints are immutable), whose bits the setup must rebuild and
+// from which the replay starts.
 type renegProgram struct {
 	text         programText
-	srName       string
+	run          derivedRun
+	inst         *negInstance
 	offer, cur   soa.Attribute
 	next         soa.Attribute
-	names        []string
-	maxUnits     map[string]int
 	before       *core.Constraint[float64]
 	lower, upper *float64
 }
 
 func newRenegProgram(s *Session, next soa.Attribute, lower, upper *float64) *renegProgram {
 	return &renegProgram{
-		srName: s.sr.Name(), offer: s.offerAttr, cur: s.reqAttr, next: next,
-		names: s.inst.names, maxUnits: s.inst.maxUnits, before: s.store.Constraint(),
-		lower: lower, upper: upper,
+		inst: s.inst, offer: s.offerAttr, cur: s.reqAttr, next: next,
+		before: s.store.Constraint(), lower: lower, upper: upper,
 	}
 }
 
 // Source implements journal.Program.
 func (p *renegProgram) Source() (string, int, string) {
 	return p.text.get(func() (string, int, string) { return renegotiationJournalProgram(p) })
+}
+
+// Replay implements journal.Run: it runs the machine on the
+// retract/tell agent from σ as the renegotiation found it, with the
+// requirement constraints compiled again.
+func (p *renegProgram) Replay() ([]journal.Transition, fmt.Stringer) {
+	return p.run.get(func(rec journal.Recorder) *core.Constraint[float64] {
+		space := p.inst.space
+		cur, err1 := p.cur.ToConstraint(space, p.inst.resourceVars[p.cur.Resource])
+		next, err2 := p.next.ToConstraint(space, p.inst.resourceVars[p.next.Resource])
+		if err1 != nil || err2 != nil {
+			// The live renegotiation compiled the same inputs.
+			return nil
+		}
+		m := sccp.NewMachine(space, renegotiationAgent(cur, next, sccp.Check[float64]{LowerValue: p.lower, UpperValue: p.upper}),
+			sccp.WithStore(core.StoreOf(p.before)), sccp.WithRecorder(rec))
+		runMachine(m, renegotiationFuel)
+		return m.Store().Constraint()
+	})
 }
 
 // negotiationJournalProgram renders the two-agent negotiation of
@@ -278,7 +360,7 @@ func renegotiationJournalProgram(p *renegProgram) (string, int, string) {
 	}
 
 	var b strings.Builder
-	b.WriteString(journalHeader(p.srName, p.names, p.maxUnits))
+	b.WriteString(journalHeader(p.inst.space.Semiring().Name(), p.inst.names, p.inst.maxUnits))
 	b.WriteString("main :: ")
 	for _, t := range tells {
 		fmt.Fprintf(&b, "tell(%s) -> ", t)

@@ -10,14 +10,13 @@ import (
 )
 
 // This file is the broker side of the content-addressed solve cache:
-// negotiation plans (the full machine outcome — status, transition
-// stream, final store — of a deterministic run) and the key function
-// that addresses them. The machine is deterministic given (semiring,
-// offer, requirement, bounds): seed 1, fixed fuel, fixed agent trees.
-// A plan hit therefore replays the exact journal segment the cold run
-// recorded — byte for byte, including the transition records — and
-// mints a live Session from the cached store snapshot without burning
-// fuel.
+// negotiation plans (the whole outcome of a deterministic run —
+// status, transition count, final store) and the key function that
+// addresses them. A negotiation is deterministic given (semiring,
+// offer, requirement, bounds): fixed agents, applied in the seed-1
+// schedule's order. A plan hit therefore records the exact journal
+// segment the cold run recorded and mints a live Session from the
+// cached store snapshot without applying anything.
 //
 // Plans are admitted on second sight (cache.Admit): the first
 // sighting of a key runs cold without capturing anything, the second
@@ -28,39 +27,22 @@ import (
 // and constraint tables) is not cached on its own: each cold run
 // compiles one, and a plan keeps the instance it was built from.
 //
-// A plan holds what the cold run journaled, as values rather than
-// text: the captured program inputs, the raw c∅, the machine's
-// journal.Transitions (constraint references and raw levels) and the
-// final σ. Building one costs the cold run nothing beyond keeping
-// references it already has, and a replay re-emits the same values,
-// which the journal renders only when read. The program and σ render
-// once and keep their text (journalprog.go), so every segment a plan
-// replays into shares one proof and one printed σ.
+// A plan holds what the cold run journaled, without transitions: the
+// captured run (a negProgram: the program inputs, which render the
+// program and replay the machine when a journal is read), the raw
+// c∅, the status, the number of transitions reserved for them and
+// σ⇓∅. Every segment a plan replays into shares the one run, so the
+// machine runs, and the program is proved, at most once for all of
+// them (journalprog.go).
 //
 // Plan keys deliberately exclude the provider *name*: two providers
-// registering identical QoS attributes produce identical machine runs,
-// so they share one plan; the replay stamps the current provider into
-// the outcome and the journal label. Error outcomes (fuel exhaustion,
-// machine faults) are never cached.
+// registering identical QoS attributes produce identical runs, so
+// they share one plan; the replay stamps the current provider into
+// the outcome and the journal label.
 //
-// Renegotiations are not cached. Each runs its retract/tell machine
-// on the session's live store (Session.Renegotiate), so a session
-// minted from a replayed plan renegotiates exactly as a cold one.
-
-// teeRecorder captures the machine's transition stream for a plan
-// while forwarding it unchanged to the live journal (when there is
-// one), so a cold run under a recorder journals exactly as before.
-type teeRecorder struct {
-	live   journal.Recorder
-	events []journal.Transition
-}
-
-func (t *teeRecorder) RecordTransition(r journal.Transition) {
-	t.events = append(t.events, r)
-	if t.live != nil {
-		t.live.RecordTransition(r)
-	}
-}
+// Renegotiations are not cached. Each applies its retract/tell to the
+// session's live store (Session.Renegotiate), so a session minted
+// from a replayed plan renegotiates exactly as a cold one.
 
 // hashAttr folds every field of a QoS attribute that reaches the
 // compiled constraint (and the synthesised journal program).
@@ -85,8 +67,8 @@ func negPlanKey(srName string, offer, req soa.Attribute, lower, upper *float64) 
 	return h.Sum()
 }
 
-// negInstance is everything negotiateOne compiles before fuel starts
-// burning. All fields are immutable after construction — constraints
+// negInstance is everything negotiateOne compiles before it applies
+// the agents. All fields are immutable after construction — constraints
 // and spaces are read-only by design, and names/maxUnits/resourceVars
 // are never written post-build — so the instance a plan keeps is
 // safely shared by concurrent replays and by every session minted
@@ -111,39 +93,27 @@ type negPlan struct {
 	// one's when the request had a lower bound.
 	czero float64
 
-	// Doomed precheck: the machine never ran.
+	// Doomed precheck: the run never happened.
 	prechecked bool
 	doomedNote string // the segment note of the skipped run
 
 	// Full run.
-	program     journal.Program // the captured replayable program
-	viable      bool            // a viable precheck ran before the machine
-	status      sccp.Status
-	transitions []journal.Transition
-	endStore    *storeText
-	endBlevel   float64 // σ⇓∅ after the run: the agreed level on success
+	program   *negProgram // the captured run
+	viable    bool        // a viable precheck ran before the run
+	status    sccp.Status
+	steps     int     // transitions the machine records for the run
+	endBlevel float64 // σ⇓∅ after the run: the agreed level on success
 
-	// Success extras.
-	resources map[string]int
+	// Success extras, shared read-only by every minted session.
+	resources []soa.ResourceBinding
 	storeSnap *core.Store[float64] // final σ; Snapshot() per minted session
 }
 
-// copyResources defends cached allocation maps against caller
-// mutation.
-func copyResources(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // replayNegotiation serves a negotiation from a cached plan: it
-// re-emits the journal segment the cold run recorded (same label
-// scheme, same captured program, same transitions, same final store
-// — the replay checker cannot tell them apart) and, on
-// success, mints a fresh Session over an independent snapshot of the
-// cached final store.
+// records the journal segment the cold run recorded (same label
+// scheme, same captured run, same outcome — the replay checker cannot
+// tell them apart) and, on success, mints a fresh Session over an
+// independent snapshot of the cached final store.
 func (n *Negotiator) replayNegotiation(
 	j *journal.Journal,
 	sr semiring.Semiring[float64],
@@ -171,16 +141,13 @@ func (n *Negotiator) replayNegotiation(
 		if pl.viable {
 			j.RecordSearch(journal.Search{Kind: journal.Propagate, Reason: journal.Viable, Value: pl.czero})
 		}
-		for _, tr := range pl.transitions {
-			j.RecordTransition(tr)
-		}
-		j.EndRun(pl.status.String(), pl.endStore, pl.endBlevel)
+		j.EndDeferredRun(pl.program, pl.status.String(), pl.steps, pl.endBlevel)
 	}
 	po := ProviderOutcome{Provider: provider, Status: pl.status}
 	if pl.status != sccp.Succeeded {
 		return po, nil
 	}
 	po.AgreedLevel = pl.endBlevel
-	po.Resources = copyResources(pl.resources)
-	return po, newSession(sr, req, provider, pl.offer, pl.inst, pl.storeSnap.Snapshot())
+	po.Resources = bindingMap(pl.resources)
+	return po, newSession(sr, req, provider, pl.offer, pl.inst, pl.storeSnap.Snapshot(), pl.resources)
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"softsoa/internal/cache"
 	"softsoa/internal/core"
@@ -103,10 +105,9 @@ type Outcome struct {
 // HealthBoard so sick providers are skipped.
 type ProviderFilter func(provider string) (ok bool, reason string)
 
-// negotiationFuel and renegotiationFuel bound the machine runs; they
-// are part of every cached plan's meaning (a plan replays a run of
-// exactly this fuel), so they are package-level constants rather than
-// per-call choices.
+// negotiationFuel and renegotiationFuel bound the machine runs a
+// journal replays; every journal segment records its run's fuel, so
+// they are package-level constants rather than per-call choices.
 const (
 	negotiationFuel   = 200
 	renegotiationFuel = 50
@@ -276,7 +277,9 @@ func (n *Negotiator) negotiate(ctx context.Context, req Request) (*soa.SLA, *Ses
 // provider: P ≡ tell(offer) → tell(spP) → ask(spC) → success and
 // C ≡ tell(requirement) → tell(spC) → ask(spP)→[a1,a2] success,
 // mirroring Example 1 of the paper with the client carrying the
-// acceptance interval.
+// acceptance interval. It applies the agents' effects to the store
+// directly (applyNegotiation); a journal records the run by its
+// inputs and outcome and runs the machine only when it is read.
 func (n *Negotiator) negotiateOne(
 	ctx context.Context,
 	sr semiring.Semiring[float64],
@@ -345,22 +348,11 @@ func (n *Negotiator) negotiateOne(
 		}
 	}
 
-	check := sccp.Check[float64]{LowerValue: req.Lower, UpperValue: req.Upper}
-	pAgent := sccp.Tell[float64]{C: inst.offerCon, Next: sccp.Tell[float64]{C: inst.spPCon, Next: sccp.Ask[float64]{
-		C: inst.spCCon, Next: sccp.Success[float64]{},
-	}}}
-	cAgent := sccp.Tell[float64]{C: inst.reqCon, Next: sccp.Tell[float64]{C: inst.spCCon, Next: sccp.Ask[float64]{
-		C: inst.spPCon, Check: check, Next: sccp.Success[float64]{},
-	}}}
-
-	// The journal program is captured as its inputs; the journal
-	// synthesises and proves it only when read.
-	var prog journal.Program
+	var prog *negProgram
 	if j != nil || wantPlan {
-		prog = newNegProgram(sr.Name(), offer, req.Requirement, inst, req.Lower, req.Upper)
+		prog = newNegProgram(sr, offer, req.Requirement, req.Lower, req.Upper)
 	}
 	viable := req.Lower != nil
-	var machineOpts []sccp.MachineOption[float64]
 	if j != nil {
 		j.BeginRun(journal.Segment{
 			Label: "negotiate:" + provider,
@@ -371,56 +363,81 @@ func (n *Negotiator) negotiateOne(
 			j.RecordSearch(journal.Search{Kind: journal.Propagate, Reason: journal.Viable, Value: czero})
 		}
 	}
-	var tee *teeRecorder
-	if wantPlan {
-		var live journal.Recorder
-		if j != nil {
-			live = j
-		}
-		tee = &teeRecorder{live: live}
-		machineOpts = append(machineOpts, sccp.WithRecorder(tee))
-	} else if j != nil {
-		machineOpts = append(machineOpts, sccp.WithRecorder(j))
-	}
 
-	m := sccp.NewMachine(inst.space, sccp.Par[float64](pAgent, cAgent), machineOpts...)
 	sp := obs.StartSpan(ctx, "nmsccp:"+provider)
-	status, err := m.Run(negotiationFuel)
+	store, status, steps := applyNegotiation(inst, sccp.Check[float64]{LowerValue: req.Lower, UpperValue: req.Upper})
 	sp.End()
-	if err != nil {
-		if j != nil {
-			j.EndSegment("error", "", "")
-		}
-		return ProviderOutcome{}, nil, fmt.Errorf("broker: negotiation with %q: %w", provider, err)
-	}
-	endStore, endBlevel := &storeText{c: m.Store().Constraint()}, m.Store().Blevel()
+	blevel := store.Blevel()
 	if j != nil {
-		j.EndRun(status.String(), endStore, endBlevel)
+		// The journal derives the transitions and σ when it is read.
+		j.EndDeferredRun(prog, status.String(), steps, blevel)
 	}
 	po := ProviderOutcome{Provider: provider, Status: status}
-	if status != sccp.Succeeded {
-		if wantPlan {
-			n.cache.Put(cache.TierSearch, planKey, &negPlan{
-				inst: inst, offer: offer,
-				program: prog, viable: viable, czero: czero, status: status,
-				transitions: tee.events, endStore: endStore, endBlevel: endBlevel,
-			})
-		}
-		return po, nil, nil
+	var sess *Session
+	var res []soa.ResourceBinding
+	if status == sccp.Succeeded {
+		res = resourceBindings(sr, store.Constraint(), inst.resourceVars)
+		sess = newSession(sr, req, provider, offer, inst, store, res)
+		po.AgreedLevel = blevel
+		po.Resources = bindingMap(res)
 	}
-	po.AgreedLevel = endBlevel
-	po.Resources = bestResources(sr, m.Store().Constraint(), inst.resourceVars)
-	sess := newSession(sr, req, provider, offer, inst, m.Store())
 	if wantPlan {
-		n.cache.Put(cache.TierSearch, planKey, &negPlan{
+		pl := &negPlan{
 			inst: inst, offer: offer,
-			program: prog, viable: viable, czero: czero, status: status,
-			transitions: tee.events, endStore: endStore, endBlevel: endBlevel,
-			resources: copyResources(po.Resources),
-			storeSnap: m.Store().Snapshot(),
-		})
+			program: prog, viable: viable, czero: czero,
+			status: status, steps: steps, endBlevel: blevel,
+			resources: res,
+		}
+		if sess != nil {
+			pl.storeSnap = store.Snapshot()
+		}
+		n.cache.Put(cache.TierSearch, planKey, pl)
 	}
 	return po, sess, nil
+}
+
+// negotiationAgents is the two-agent negotiation of Example 1:
+// P ≡ tell(offer) → tell(spP) → ask(spC) → success and
+// C ≡ tell(requirement) → tell(spC) → ask(spP)→check success, the
+// client carrying the acceptance interval.
+func negotiationAgents(inst *negInstance, check sccp.Check[float64]) sccp.Agent[float64] {
+	pAgent := sccp.Tell[float64]{C: inst.offerCon, Next: sccp.Tell[float64]{C: inst.spPCon, Next: sccp.Ask[float64]{
+		C: inst.spCCon, Next: sccp.Success[float64]{},
+	}}}
+	cAgent := sccp.Tell[float64]{C: inst.reqCon, Next: sccp.Tell[float64]{C: inst.spCCon, Next: sccp.Ask[float64]{
+		C: inst.spPCon, Check: check, Next: sccp.Success[float64]{},
+	}}}
+	return sccp.Par[float64](pAgent, cAgent)
+}
+
+// applyNegotiation applies negotiationAgents' effects to a fresh store
+// without the machine, in the order the machine's seed-1 schedule
+// applies them: C tells the requirement and spC, P tells the offer and
+// spP, then C's checked ask and P's ask fire. It returns the store, the
+// status the machine reaches and the number of transitions it records:
+// 6 when the checked ask fires, 5 when it does not.
+//
+// No ask changes σ, and each is tried until the run ends, so each
+// fires iff σ after the four tells entails its flag and, for C's, the
+// check holds there. The tables ToConstraint builds hold levels
+// between Zero and One, so that σ entails both flags unless a cell is
+// NaN, which σ⇓∅ then is too. Over a NaN σ an ask may still fire
+// early, on a partial σ flat at Zero, so the outcome depends on the
+// schedule: such a run takes the machine.
+func applyNegotiation(inst *negInstance, check sccp.Check[float64]) (*core.Store[float64], sccp.Status, int) {
+	store := core.NewStore(inst.space)
+	store.Tell(inst.reqCon)
+	store.Tell(inst.spCCon)
+	store.Tell(inst.offerCon)
+	store.Tell(inst.spPCon)
+	if math.IsNaN(store.Blevel()) {
+		m := sccp.NewMachine(inst.space, negotiationAgents(inst, check))
+		return m.Store(), runMachine(m, negotiationFuel), m.Steps()
+	}
+	if !check.Holds(inst.space.Semiring(), store.Constraint()) {
+		return store, sccp.Stuck, 5
+	}
+	return store, sccp.Succeeded, 6
 }
 
 // newNegInstance compiles the negotiation instance for an (offer,
@@ -435,16 +452,8 @@ func newNegInstance(
 	offer soa.Attribute,
 ) (*negInstance, error) {
 	space := core.NewSpace[float64](sr)
-	maxUnits := map[string]int{offer.Resource: offer.MaxUnits}
-	if cur, ok := maxUnits[reqAttr.Resource]; !ok || reqAttr.MaxUnits > cur {
-		maxUnits[reqAttr.Resource] = reqAttr.MaxUnits
-	}
-	resourceVars := map[string]core.Variable{}
-	names := make([]string, 0, len(maxUnits))
-	for name := range maxUnits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names, maxUnits := negVars(reqAttr, offer)
+	resourceVars := make(map[string]core.Variable, len(names))
 	for _, name := range names {
 		resourceVars[name] = space.AddVariable(core.Variable(name), core.IntDomain(0, maxUnits[name]))
 	}
@@ -477,6 +486,47 @@ func newNegInstance(
 		spPCon:       flag(spP),
 		spCCon:       flag(spC),
 	}, nil
+}
+
+// negVars returns the resource variables of an (offer, requirement)
+// pair, sorted by name, with the range each takes: the larger of the
+// two parties' declared maxima on a shared resource.
+func negVars(reqAttr, offer soa.Attribute) ([]string, map[string]int) {
+	maxUnits := map[string]int{offer.Resource: offer.MaxUnits}
+	if cur, ok := maxUnits[reqAttr.Resource]; !ok || reqAttr.MaxUnits > cur {
+		maxUnits[reqAttr.Resource] = reqAttr.MaxUnits
+	}
+	names := make([]string, 0, len(maxUnits))
+	for name := range maxUnits {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names, maxUnits
+}
+
+// resourceBindings is the agreed resource allocation of σ, sorted by
+// resource name, as an SLA lists it.
+func resourceBindings(
+	sr semiring.Semiring[float64],
+	sigma *core.Constraint[float64],
+	resourceVars map[string]core.Variable,
+) []soa.ResourceBinding {
+	res := bestResources(sr, sigma, resourceVars)
+	out := make([]soa.ResourceBinding, 0, len(res))
+	for name, units := range res {
+		out = append(out, soa.ResourceBinding{Name: name, Units: units})
+	}
+	slices.SortFunc(out, func(a, b soa.ResourceBinding) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+// bindingMap is a ProviderOutcome's copy of an allocation.
+func bindingMap(res []soa.ResourceBinding) map[string]int {
+	out := make(map[string]int, len(res))
+	for _, b := range res {
+		out[b.Name] = b.Units
+	}
+	return out
 }
 
 // bestResources extracts the resource allocation attaining the

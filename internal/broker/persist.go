@@ -448,7 +448,8 @@ func (s *Server) restoreEntry(ctx context.Context, v int, snap entrySnap) (*slaE
 	if err != nil {
 		return nil, err
 	}
-	sess := newSession(sr, snap.Req, snap.Provider, snap.Offer, inst, core.StoreOf(sigma))
+	sess := newSession(sr, snap.Req, snap.Provider, snap.Offer, inst, core.StoreOf(sigma),
+		resourceBindings(sr, sigma, inst.resourceVars))
 	cur := snap.Req.Requirement
 	if snap.Requirement != nil {
 		cur = *snap.Requirement

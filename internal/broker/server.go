@@ -829,11 +829,12 @@ func (s *Server) handleGetSLA(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
-	sla := e.session.SLA()
+	// The session's view, whose slices the encoder only reads.
+	sla := e.session.view
 	sla.ID = id
 	sla.Version = e.version()
 	e.mu.Unlock()
-	writeXML(w, http.StatusOK, sla)
+	writeXML(w, http.StatusOK, &sla)
 }
 
 // handleHealth reports every tracked provider's breaker state.

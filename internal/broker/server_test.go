@@ -324,3 +324,53 @@ func TestOneInfoRecordPerRequest(t *testing.T) {
 		}
 	}
 }
+
+// getSLAAllocs bounds what serving GET /v1/slas/{id} allocates: 61
+// measured with the agreement's view kept on the session (79 when
+// every request projected σ afresh), plus 5%.
+const getSLAAllocs = 64
+
+// TestGetSLAAllocs: GET /v1/slas/{id} encodes the view the agreement
+// computed once, byte for byte what it served when it projected σ per
+// request, within its allocation budget. The race detector allocates
+// on its own, so the budget is not checked under -race.
+func TestGetSLAAllocs(t *testing.T) {
+	srv := NewServer(DefaultLinkPenalty)
+	_, client := serveForTest(t, srv)
+	ctx := context.Background()
+	for _, doc := range []*soa.Document{costDoc("p1", "failmgmt", 2, 1, "eu"), costDoc("p2", "failmgmt", 4, 2, "us")} {
+		if err := client.Publish(ctx, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sla, err := client.Negotiate(ctx, NegotiateRequest{
+		Service: "failmgmt", Client: "shop", Metric: soa.MetricCost,
+		Requirement: soa.Attribute{Name: "budget", Metric: soa.MetricCost, Base: 3, PerUnit: 1, Resource: "failures", MaxUnits: 10},
+		Lower:       fptr(20),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	var body string
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/slas/"+sla.ID, nil))
+		body = rec.Body.String()
+	}
+	serve()
+	const want = `<sla id="sla-1" service="failmgmt" client="shop" metric="cost" agreedLevel="5" version="1">
+  <provider>p1</provider>
+  <resource name="failures" units="0"></resource>
+</sla>
+`
+	if body != want {
+		t.Errorf("GET /v1/slas/%s served\n%s\nwant\n%s", sla.ID, body, want)
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, serve); n > getSLAAllocs {
+		t.Errorf("GET /v1/slas/{id} allocates %.0f times, ceiling %d", n, getSLAAllocs)
+	}
+}

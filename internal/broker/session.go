@@ -3,7 +3,7 @@ package broker
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"softsoa/internal/core"
 	"softsoa/internal/obs/journal"
@@ -38,15 +38,36 @@ type Session struct {
 	// the current requirement across renegotiations.
 	offerAttr soa.Attribute
 	reqAttr   soa.Attribute
+
+	// view is the current agreement as an SLA without ID and Version,
+	// computed once per agreement (setView). Its slices are shared:
+	// SLA copies them, and the server only encodes them.
+	view soa.SLA
 }
 
 // newSession is the session of a negotiation with provider that
-// agreed on inst with final store: version 1, under req's requirement.
+// agreed on inst with final store, whose resource allocation is res:
+// version 1, under req's requirement.
 func newSession(sr semiring.Semiring[float64], req Request, provider string, offer soa.Attribute,
-	inst *negInstance, store *core.Store[float64]) *Session {
-	return &Session{
+	inst *negInstance, store *core.Store[float64], res []soa.ResourceBinding) *Session {
+	s := &Session{
 		provider: provider, service: req.Service, client: req.Client, metric: req.Metric, sr: sr,
 		inst: inst, store: store, reqCon: inst.reqCon, version: 1, offerAttr: offer, reqAttr: req.Requirement,
+	}
+	s.setView(res)
+	return s
+}
+
+// setView records the agreement the store now holds, whose resource
+// allocation is res.
+func (s *Session) setView(res []soa.ResourceBinding) {
+	s.view = soa.SLA{
+		Service:     s.service,
+		Client:      s.client,
+		Providers:   []string{s.provider},
+		Metric:      s.metric,
+		AgreedLevel: s.store.Blevel(),
+		Resources:   res,
 	}
 }
 
@@ -58,27 +79,14 @@ func (s *Session) Provider() string { return s.provider }
 func (s *Session) Version() int { return s.version }
 
 // AgreedLevel returns the current store consistency.
-func (s *Session) AgreedLevel() float64 { return s.store.Blevel() }
+func (s *Session) AgreedLevel() float64 { return s.view.AgreedLevel }
 
 // SLA renders the session's current agreement.
 func (s *Session) SLA() *soa.SLA {
-	sla := &soa.SLA{
-		Service:     s.service,
-		Client:      s.client,
-		Providers:   []string{s.provider},
-		Metric:      s.metric,
-		AgreedLevel: s.store.Blevel(),
-	}
-	res := bestResources(s.sr, s.store.Constraint(), s.inst.resourceVars)
-	names := make([]string, 0, len(res))
-	for name := range res {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		sla.Resources = append(sla.Resources, soa.ResourceBinding{Name: name, Units: res[name]})
-	}
-	return sla
+	sla := s.view
+	sla.Providers = slices.Clone(s.view.Providers)
+	sla.Resources = slices.Clone(s.view.Resources)
+	return &sla
 }
 
 // NegotiateSession is Negotiate, but additionally returns the live
@@ -112,44 +120,26 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 	}
 
 	j := journal.FromContext(ctx)
-	check := sccp.Check[float64]{LowerValue: lower, UpperValue: upper}
-	agent := sccp.Retract[float64]{
-		C: s.reqCon,
-		Next: sccp.Tell[float64]{
-			C:     newCon,
-			Check: check,
-			Next:  sccp.Success[float64]{},
-		},
-	}
-
-	machineOpts := []sccp.MachineOption[float64]{sccp.WithStore[float64](s.store)}
+	var prog *renegProgram
 	if j != nil {
-		// The journal program is captured before the run mutates the
-		// session; the journal synthesises it only when read.
+		// The journal program is captured before the session changes;
+		// the journal synthesises and replays it only when read.
+		prog = newRenegProgram(s, newReq, lower, upper)
 		j.SetSemiring(s.sr)
 		j.BeginRun(journal.Segment{
 			Label: "renegotiate:" + s.provider,
 			Seed:  1,
 			Fuel:  renegotiationFuel,
 			Note:  fmt.Sprintf("session version %d", s.version),
-		}, newRenegProgram(s, newReq, lower, upper))
-		machineOpts = append(machineOpts, sccp.WithRecorder(j))
+		}, prog)
 	}
 
 	snapshot := s.store.Snapshot()
-	m := sccp.NewMachine(s.inst.space, agent, machineOpts...)
-	status, err := m.Run(renegotiationFuel)
-	if err != nil {
-		if j != nil {
-			j.EndSegment("error", "", "")
-		}
-		s.store.Restore(snapshot)
-		return nil, err
-	}
-	// Record the machine's view of the store before any rollback: the
+	status, steps := applyRenegotiation(s.store, s.reqCon, newCon, sccp.Check[float64]{LowerValue: lower, UpperValue: upper})
+	// Record the run's view of the store before any rollback: the
 	// replay re-executes the run itself, not the rollback.
 	if j != nil {
-		j.EndRun(status.String(), &storeText{c: s.store.Constraint()}, s.store.Blevel())
+		j.EndDeferredRun(prog, status.String(), steps, s.store.Blevel())
 	}
 	if status != sccp.Succeeded {
 		s.store.Restore(snapshot)
@@ -158,5 +148,32 @@ func (s *Session) Renegotiate(ctx context.Context, newReq soa.Attribute, lower, 
 	s.reqCon = newCon
 	s.reqAttr = newReq
 	s.version++
+	s.setView(resourceBindings(s.sr, s.store.Constraint(), s.inst.resourceVars))
 	return s.SLA(), nil
+}
+
+// renegotiationAgent is a renegotiation's one agent:
+// retract(old) → tell(next)→check success.
+func renegotiationAgent(old, next *core.Constraint[float64], check sccp.Check[float64]) sccp.Agent[float64] {
+	return sccp.Retract[float64]{C: old, Next: sccp.Tell[float64]{C: next, Check: check, Next: sccp.Success[float64]{}}}
+}
+
+// applyRenegotiation applies renegotiationAgent's effects to store
+// without the machine, as rules R7 and R1 apply them: old is retracted
+// when σ entails it, then next is told when the check holds on the
+// result. It leaves the store as the machine's run leaves it and
+// returns the status the machine reaches and the number of
+// transitions it records: 2 on success, 1 when the check refuses the
+// tell, 0 when σ does not entail old.
+func applyRenegotiation(store *core.Store[float64], old, next *core.Constraint[float64], check sccp.Check[float64]) (sccp.Status, int) {
+	if !store.Retract(old) {
+		return sccp.Stuck, 0
+	}
+	retracted := store.Snapshot()
+	store.Tell(next)
+	if !check.Holds(store.Space().Semiring(), store.Constraint()) {
+		store.Restore(retracted)
+		return sccp.Stuck, 1
+	}
+	return sccp.Succeeded, 2
 }

@@ -252,16 +252,27 @@ func (s *File) Append(typ string, data []byte) (uint64, error) {
 // atomically, then the WAL is reset (also atomically) since every
 // covered record is now redundant. A crash between the two steps is
 // safe — recovery skips WAL records with Seq <= the snapshot's.
+//
+// state must be empty or JSON as json.Marshal encodes it (compact,
+// HTML escaped), as the broker's snapshots are. It is written into the
+// snapshotFile envelope as it is, not re-encoded, so the file holds
+// the bytes json.Marshal of the envelope would, without a second copy
+// of the state.
 func (s *File) WriteSnapshot(state []byte, upToSeq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errClosed
 	}
-	doc, err := json.Marshal(snapshotFile{V: 1, Seq: upToSeq, State: state})
-	if err != nil {
-		return fmt.Errorf("store: encode snapshot: %w", err)
+	doc := make([]byte, 0, len(state)+48)
+	doc = append(doc, `{"v":1,"seq":`...)
+	doc = strconv.AppendUint(doc, upToSeq, 10)
+	doc = append(doc, `,"state":`...)
+	if len(state) == 0 {
+		doc = append(doc, "null"...)
 	}
+	doc = append(doc, state...)
+	doc = append(doc, '}')
 	if err := atomicWriteFile(s.snapshotPath(), doc, 0o644); err != nil {
 		return err
 	}

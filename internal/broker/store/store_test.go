@@ -345,3 +345,44 @@ func TestFileRecoverTwice(t *testing.T) {
 		t.Fatal("second Recover should fail")
 	}
 }
+
+// TestFileSnapshotBytes: the snapshot file holds exactly the bytes
+// json.Marshal gives for its envelope, though the state is written
+// into it as it is rather than re-encoded — including states with
+// characters json.Marshal escapes for HTML, and an empty state.
+func TestFileSnapshotBytes(t *testing.T) {
+	escaped, err := json.Marshal(map[string]any{
+		"note":  "<b>a & b</b>",
+		"line":  "a\u2028b\u2029c",
+		"slas":  []any{map[string]any{"id": "sla-1", "sigma": "AAAA+/8="}},
+		"level": 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, state := range [][]byte{escaped, []byte(`{"covered":2}`), nil} {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := uint64(1) << (10 * i)
+		if err := s.WriteSnapshot(state, seq); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, SnapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(snapshotFile{V: 1, Seq: seq, State: state})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("state %d: snapshot file\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}

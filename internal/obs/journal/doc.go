@@ -30,10 +30,21 @@
 // through the Format of the carrier it holds (SetSemiring), and the
 // wire types TransitionRecord, SearchRecord and Segment are what it
 // serves. The first read keeps the text it rendered in place of the
-// values — segment programs and final stores, transition payloads —
-// so a journal read again (a sink dumps an SLA's journal after every
-// renegotiation) renders only what was recorded since. A journal read
-// back with ReadJSONL carries literal text.
+// values — segment programs, final stores and deferred runs,
+// transition payloads — so a journal read again (a sink dumps an
+// SLA's journal after every renegotiation) renders only what was
+// recorded since. A journal read back with ReadJSONL carries literal
+// text.
+//
+// A run need not be recorded transition by transition. The broker
+// applies a negotiation's and a renegotiation's effects to the store
+// directly and closes the segment with EndDeferredRun: the segment
+// keeps its captured program inputs (a Run), the status, σ⇓∅ and one
+// pointer-free event per transition the machine would record, so
+// sequence numbers, ring wrap and drop accounting are those of a
+// recorded run. The first read runs the machine once (Run.Replay) to
+// derive those transitions and the final σ. A journal nobody reads
+// never runs the machine.
 //
 // A Journal is an append-only ring: when the configured capacity is
 // reached the oldest events are dropped and accounted for in

@@ -217,6 +217,18 @@ type Program interface {
 	Source() (src string, setup int, withheld string)
 }
 
+// Run is a machine run recorded by its outcome alone: the recorder
+// applied the run's effects without the machine, and the journal
+// derives the transitions the machine records for it, and its final
+// σ, when it is first read.
+type Run interface {
+	Program
+	// Replay runs the machine on the captured inputs and returns the
+	// transitions it records and its final σ. Concurrent readers may
+	// call it at the same time; it runs the machine at most once.
+	Replay() ([]Transition, fmt.Stringer)
+}
+
 // Event is one journal line: a transition or a solver record, tagged
 // with the segment it belongs to and a journal-wide sequence number.
 type Event struct {
@@ -251,8 +263,9 @@ type Carrier interface {
 // A journal keeps the values it is given — raw float64 levels,
 // constraint references, captured program inputs — and renders text
 // only when it is read (Events, Segments, WriteJSONL, WriteJSON).
-// Solver events are pointer-free entries in the ring; transitions
-// keep their payload in a side ring of the same capacity.
+// Solver events and a deferred run's transitions are pointer-free
+// entries in the ring; recorded transitions keep their payload in a
+// side ring of the same capacity.
 type Journal struct {
 	mu       sync.Mutex
 	meta     Meta                 // guarded by mu
@@ -272,19 +285,22 @@ type Journal struct {
 }
 
 // segment is a Segment plus the values its deferred fields render
-// from. The first read keeps the rendered Program, Setup and
-// FinalStore in Segment and drops the values (see keep).
+// from. The first read keeps the rendered Program, Setup, FinalStore
+// and a deferred run's transitions, and drops the values (see keep).
 type segment struct {
 	Segment
-	program  Program      // renders Program and Setup; nil once kept
-	store    fmt.Stringer // renders FinalStore; nil once kept
-	blevel   float64      // renders FinalBlevel when hasLevel
+	program  Program            // renders Program and Setup; nil once kept
+	store    fmt.Stringer       // renders FinalStore; nil once kept
+	run      Run                // derives FinalStore and trs; nil once kept
+	trs      []TransitionRecord // the run's transitions, once rendered
+	blevel   float64            // renders FinalBlevel when hasLevel
 	hasLevel bool
 }
 
 // render returns the wire form. A deferred program adds its setup
 // transitions to the recorded fuel, which budgets the live run only,
-// and the reason it was withheld, if it was, to the note.
+// and the reason it was withheld, if it was, to the note. A deferred
+// run is replayed here, and its transitions rendered into s.trs.
 func (s *segment) render(format func(float64) string) Segment {
 	out := s.Segment
 	if s.program != nil {
@@ -296,10 +312,28 @@ func (s *segment) render(format func(float64) string) Segment {
 	if s.store != nil {
 		out.FinalStore = s.store.String()
 	}
+	if s.run != nil {
+		trs, final := s.run.Replay()
+		out.FinalStore = final.String()
+		s.trs = make([]TransitionRecord, len(trs))
+		for i, t := range trs {
+			s.trs[i] = t.Render(format)
+		}
+	}
 	if s.hasLevel {
 		out.FinalBlevel = format(s.blevel)
 	}
 	return out
+}
+
+// transition returns the i-th transition of the segment's deferred
+// run as rendered. A run whose replay recorded fewer transitions than
+// were reserved for it serves the missing ones as bare step numbers.
+func (s *segment) transition(i int32) *TransitionRecord {
+	if int(i) < len(s.trs) {
+		return &s.trs[i]
+	}
+	return &TransitionRecord{Step: int(i) + 1}
 }
 
 // trSlot holds a transition entry's payload until the journal is
@@ -317,6 +351,7 @@ const (
 	searchEntry     entryKind = iota // in the entry itself
 	transitionEntry                  // j.trs[ref]
 	literalEntry                     // j.lits[ref]
+	runEntry                         // transition ref of j.segments[seg]'s run
 )
 
 // entry is one ring slot. It holds no pointers, so the ring of a
@@ -455,6 +490,26 @@ func (j *Journal) EndRun(status string, store fmt.Stringer, blevel float64) {
 	s.Status, s.store, s.blevel, s.hasLevel = status, store, blevel, true
 }
 
+// EndDeferredRun closes the open segment, which BeginRun opened with
+// run as its program, with the outcome of a run whose effects the
+// caller applied without the machine: its status, σ⇓∅ and the number
+// of transitions the machine records for it. Those transitions are
+// reserved now as pointer-free events, so sequence numbers, ring wrap
+// and drop accounting are those of a recorded run; the first read
+// derives them and the final σ from run.Replay.
+func (j *Journal) EndDeferredRun(run Run, status string, transitions int, blevel float64) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.current < 0 {
+		return
+	}
+	s := &j.segments[j.current]
+	s.Status, s.run, s.blevel, s.hasLevel = status, run, blevel, true
+	for i := 0; i < transitions; i++ {
+		j.push(entry{kind: runEntry, ref: int32(i)})
+	}
+}
+
 // Segments renders the segments recorded so far.
 func (j *Journal) Segments() []Segment {
 	snap := j.snapshot()
@@ -548,7 +603,8 @@ func (j *Journal) render() (snapshot, []Segment, []Event) {
 }
 
 // keep replaces deferred values with the text a read rendered from
-// them: a segment's program and final σ, a transition's payload. A
+// them: a segment's program, final σ and deferred run, a transition's
+// payload. A
 // sink rewrites an SLA's journal after every renegotiation (brokerd
 // -journal-dir, on the request goroutine), so each value must be
 // rendered — each program proved — once, not once per dump; the text
@@ -565,6 +621,9 @@ func (j *Journal) keep(snap snapshot, segments []Segment) {
 		}
 		if sn.store != nil && s.store != nil {
 			s.FinalStore, s.store = out.FinalStore, nil
+		}
+		if sn.run != nil && s.run != nil {
+			s.FinalStore, s.trs, s.run = out.FinalStore, sn.trs, nil
 		}
 	}
 	for _, st := range snap.trs {
@@ -633,6 +692,8 @@ type snapTransition struct {
 // formatG renders a value for a journal without a carrier format.
 func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// renderSegments renders the segments, and with them the transitions
+// of their deferred runs, which renderEvents serves.
 func (s snapshot) renderSegments() []Segment {
 	out := make([]Segment, len(s.segments))
 	for i := range s.segments {
@@ -661,6 +722,8 @@ func (s snapshot) renderEvents() []Event {
 			ev.Kind, ev.Transition = "transition", st.rec
 		case literalEntry:
 			ev, lits = lits[0], lits[1:]
+		case runEntry:
+			ev.Kind, ev.Transition = "transition", s.segments[e.seg].transition(e.ref)
 		}
 		out = append(out, ev)
 	}

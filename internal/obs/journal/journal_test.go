@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -333,6 +335,114 @@ func TestKeptTextAcrossWrap(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Errorf("journal read while recording serves\n%s\nwant\n%s", got.String(), want.String())
+	}
+}
+
+// deferred is a Run whose replay hands back fixed transitions and σ,
+// counting its calls.
+type deferred struct {
+	src     string
+	trs     []Transition
+	final   string
+	replays *atomic.Int32
+}
+
+func (d deferred) Source() (string, int, string) { return d.src, 0, "" }
+
+func (d deferred) Replay() ([]Transition, fmt.Stringer) {
+	d.replays.Add(1)
+	return d.trs, text(d.final)
+}
+
+// TestDeferredRunMatchesRecorded: a run closed with EndDeferredRun
+// serves the bytes of the same run recorded transition by transition
+// — sequence numbers, segment tags, drops across a wrapping ring — and
+// its first read replays it once; later reads serve the kept text.
+func TestDeferredRunMatchesRecorded(t *testing.T) {
+	var replays atomic.Int32
+	runs := make([]deferred, 5)
+	for i := range runs {
+		runs[i] = deferred{src: fmt.Sprintf("p%d.", i), final: fmt.Sprintf("σ%d", i), replays: &replays}
+		for k := 1; k <= 3+i%3; k++ {
+			runs[i].trs = append(runs[i].trs, Transition{Step: k, Rule: "R1 Tell", Agent: text(fmt.Sprintf("tell(c%d)", k)),
+				Delta: text("c"), BlevelBefore: float64(k - 1), BlevelAfter: float64(k), Consistent: true})
+		}
+	}
+	record := func(j *Journal, i int, live bool) {
+		r := runs[i]
+		j.BeginRun(Segment{Label: fmt.Sprintf("s%d", i), Seed: 1, Fuel: 10}, r)
+		j.RecordSearch(Search{Kind: Propagate, Reason: Viable, Value: float64(i)})
+		if !live {
+			j.EndDeferredRun(r, "succeeded", len(r.trs), float64(i))
+			return
+		}
+		for _, t := range r.trs {
+			j.RecordTransition(t)
+		}
+		j.EndRun("succeeded", text(r.final), float64(i))
+	}
+	for _, capacity := range []int{64, 7} {
+		var dropped int64
+		live, def := New(capacity, Meta{ID: "d"}), New(capacity, Meta{ID: "d"})
+		def.SetOnDrop(func(n int64) { dropped += n })
+		for i := range runs {
+			record(live, i, true)
+			record(def, i, false)
+		}
+		if got := replays.Load(); got != 0 {
+			t.Fatalf("capacity %d: recording replayed %d runs", capacity, got)
+		}
+		var want, got bytes.Buffer
+		if err := live.WriteJSONL(&want); err != nil {
+			t.Fatal(err)
+		}
+		for read := 0; read < 3; read++ {
+			got.Reset()
+			if err := def.WriteJSONL(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("capacity %d, read %d: deferred journal serves\n%s\nwant\n%s", capacity, read+1, got.String(), want.String())
+			}
+		}
+		if got := replays.Swap(0); got != int32(len(runs)) {
+			t.Errorf("capacity %d: three reads replayed %d times, want once per run (%d)", capacity, got, len(runs))
+		}
+		if def.Dropped() != live.Dropped() || dropped != live.Dropped() {
+			t.Errorf("capacity %d: dropped %d (hook %d), recorded journal %d", capacity, def.Dropped(), dropped, live.Dropped())
+		}
+	}
+}
+
+// TestDeferredRunConcurrentReads: readers racing for a deferred run's
+// first rendering all serve the same bytes (run with -race).
+func TestDeferredRunConcurrentReads(t *testing.T) {
+	var replays atomic.Int32
+	r := deferred{src: "p.", final: "σ", replays: &replays,
+		trs: []Transition{{Step: 1, Rule: "R1 Tell", Delta: text("c"), BlevelAfter: 1}, {Step: 2, Rule: "R2 Ask"}}}
+	j := New(8, Meta{ID: "c"})
+	j.BeginRun(Segment{Label: "s"}, r)
+	j.EndDeferredRun(r, "succeeded", 2, 1)
+	const readers = 4
+	outs := make([]bytes.Buffer, readers)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(out *bytes.Buffer) {
+			defer wg.Done()
+			if err := j.WriteJSONL(out); err != nil {
+				t.Error(err)
+			}
+		}(&outs[i])
+	}
+	wg.Wait()
+	for i := 1; i < readers; i++ {
+		if outs[i].String() != outs[0].String() {
+			t.Errorf("reader %d served\n%s\nreader 0\n%s", i, outs[i].String(), outs[0].String())
+		}
+	}
+	if !strings.Contains(outs[0].String(), `"final_store":"σ"`) {
+		t.Errorf("journal lacks the replayed σ:\n%s", outs[0].String())
 	}
 }
 
